@@ -17,7 +17,8 @@
 #                     scale-up claim and smoke, fault-sweep smoke, the
 #                     full golden-report determinism sweep, the full
 #                     domain-parallel sweep (domains 2/4/8 on every
-#                     fabric, plus the perf.sh wall-clock gate), and the
+#                     fabric, plus the perf.sh wall-clock gate), the
+#                     circuit host-benchmark smoke (exit code only), and the
 #                     end-to-end trace-replay equivalence check
 #                     (record -> replay -> byte-for-byte report diff).
 #
@@ -111,6 +112,12 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: domain-parallel wall-clock gate =="
   NOCSTAR_PERF_ENFORCE=1 scripts/perf.sh --quick
+
+  echo "== nightly: host-benchmark smoke (circuit fabric) =="
+  # Gates on the exit code only: a failed repetition, a report-digest
+  # mismatch between runs of one seed, or a wrong access count. No timing
+  # threshold: this catches a fabric change that breaks determinism.
+  python3 hostbench/run.py --workload circuit-redis-256 --seconds 10 --trace 0
 
   echo "== nightly: trace-replay equivalence (live vs recorded, real binaries) =="
   # Capture the redis preset with the simulator's defaults, then run the

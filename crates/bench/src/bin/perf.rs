@@ -1,11 +1,11 @@
-//! Wall-clock timing for the domain-parallel simulation driver.
+//! Wall-clock timing for the simulation driver.
 //!
 //! Runs one fixed-seed configuration end to end and prints a single JSON
 //! line with the best-of-`--reps` wall-clock time and the simulation
 //! throughput (committed memory accesses — the simulator's unit of work —
 //! per wall-clock second). `scripts/perf.sh` sweeps this binary over the
-//! paper's fabrics and core counts at domains 1 vs N and assembles
-//! `bench_results/BENCH_parallel.json`.
+//! paper's fabrics and core counts and assembles
+//! `bench_results/BENCH_perf.json`.
 //!
 //! Flags:
 //!
@@ -15,15 +15,10 @@
 //!   (clustered bus + mesh overlay); default `distributed`.
 //! * `--cluster-size <n>` — tiles per cluster for `--org hier`
 //!   (default 16; must evenly divide `--cores`).
-//! * `--parallel-domains <n>[,<n>...]` — simulation domain counts
-//!   (default `1`). With several values the repetitions interleave
-//!   across them round-robin, so slow host phases (VM steal, frequency
-//!   drift) hit every configuration equally and the reported minima are
-//!   comparable.
 //! * `--warmup <n>` / `--measure <n>` — per-thread access counts
 //!   (defaults 500 / 2000).
-//! * `--reps <n>` — timed repetitions per domain count; the minimum is
-//!   reported (default 3).
+//! * `--reps <n>` — timed repetitions; the minimum is reported
+//!   (default 3).
 
 use nocstar::prelude::*;
 use std::time::Instant;
@@ -74,46 +69,28 @@ fn main() {
     let cluster_size = flag_u64(&args, "--cluster-size", 16) as usize;
     let org_name = flag(&args, "--org").unwrap_or_else(|| "distributed".into());
     let org = parse_org(&org_name, cores, cluster_size);
-    let domain_list: Vec<usize> = flag(&args, "--parallel-domains")
-        .unwrap_or_else(|| "1".into())
-        .split(',')
-        .map(|v| match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: bad --parallel-domains value {v:?}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
     let warmup = flag_u64(&args, "--warmup", 500);
     let measure = flag_u64(&args, "--measure", 2000);
     let reps = flag_u64(&args, "--reps", 3).max(1);
 
-    let mut best_ms = vec![f64::INFINITY; domain_list.len()];
+    let mut best_ms = f64::INFINITY;
     let mut cycles = 0u64;
     let mut accesses = 0u64;
     for _ in 0..reps {
-        for (i, &domains) in domain_list.iter().enumerate() {
-            let mut config = SystemConfig::new(cores, org);
-            config.parallel_domains = domains;
-            let workload = WorkloadAssignment::preset(&config, Preset::Redis);
-            let sim = Simulation::new(config, workload);
-            let start = Instant::now();
-            let report = sim.run_measured(warmup, measure);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            best_ms[i] = best_ms[i].min(ms);
-            cycles = report.cycles;
-            accesses = report.accesses;
-        }
+        let config = SystemConfig::new(cores, org);
+        let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+        let sim = Simulation::new(config, workload);
+        let start = Instant::now();
+        let report = sim.run_measured(warmup, measure);
+        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        cycles = report.cycles;
+        accesses = report.accesses;
     }
-    for (i, &domains) in domain_list.iter().enumerate() {
-        let events_per_sec = accesses as f64 / (best_ms[i] / 1e3);
-        println!(
-            "{{\"org\":\"{org_name}\",\"cores\":{cores},\"domains\":{domains},\
-             \"warmup\":{warmup},\"measure\":{measure},\"reps\":{reps},\
-             \"wall_ms\":{:.1},\"events_per_sec\":{events_per_sec:.0},\
-             \"cycles\":{cycles},\"accesses\":{accesses}}}",
-            best_ms[i]
-        );
-    }
+    let events_per_sec = accesses as f64 / (best_ms / 1e3);
+    println!(
+        "{{\"org\":\"{org_name}\",\"cores\":{cores},\
+         \"warmup\":{warmup},\"measure\":{measure},\"reps\":{reps},\
+         \"wall_ms\":{best_ms:.1},\"events_per_sec\":{events_per_sec:.0},\
+         \"cycles\":{cycles},\"accesses\":{accesses}}}"
+    );
 }

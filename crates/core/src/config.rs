@@ -232,12 +232,11 @@ pub struct SystemConfig {
     /// default (2 million cycles) is orders of magnitude above any legal
     /// inter-completion gap.
     pub livelock_window: u64,
-    /// Simulation domains for epoch-parallel execution (`DESIGN.md §12`):
-    /// the chip's tiles are split into this many contiguous domains, each
-    /// with its own event-queue shard and trace-feed worker thread. `1`
-    /// (the default) is the plain sequential path. Any value produces a
-    /// byte-identical `SimReport`; it only changes how the work is
-    /// scheduled on the host. Clamped to the hardware thread count.
+    /// Must be 1. The simulator runs one sequential driver; intra-run
+    /// domain parallelism was removed because it never paid for itself
+    /// (`DESIGN.md §12`). The field stays only because the host benchmark
+    /// (`hostbench/`) still assigns it; it goes with the next benchmark
+    /// change. Nothing but [`validate`](Self::validate) reads it.
     pub parallel_domains: usize,
 }
 
@@ -303,7 +302,8 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero cores/SMT, bad scales).
+    /// Panics on degenerate configurations (zero cores/SMT, bad scales) or
+    /// a `parallel_domains` other than 1.
     pub fn validate(&self) {
         assert!(self.cores > 0, "need at least one core");
         assert!(self.smt > 0, "need at least one thread per core");
@@ -312,7 +312,10 @@ impl SystemConfig {
             "bad L1 scale"
         );
         assert!(self.livelock_window > 0, "livelock window must be nonzero");
-        assert!(self.parallel_domains >= 1, "need at least one domain");
+        assert_eq!(
+            self.parallel_domains, 1,
+            "the simulator runs one sequential driver"
+        );
         match self.org {
             TlbOrg::Private { entries, .. } => {
                 assert!(

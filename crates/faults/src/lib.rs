@@ -345,6 +345,10 @@ impl FaultPlan {
     /// | `cluster:K/S@A-B` | every slice of cluster `K` (size `S` tiles) offline over `[A, B)` |
     /// | `storm@S-E` | shootdowns in `[S, E)` escalate to IPI broadcast |
     ///
+    /// Degradations `+N` and multipliers `xM` are capped at
+    /// [`MAX_FAULT_MAGNITUDE`]: larger values would overflow the simulated
+    /// clock instead of modelling a slower part.
+    ///
     /// # Errors
     ///
     /// Returns the first malformed clause together with its byte offset in
@@ -394,7 +398,7 @@ impl FaultPlan {
                 .ok_or_else(|| "walk effect must be `xM`".to_string())?;
             self.walk_spikes.push(WalkSpike {
                 window: parse_window(win)?,
-                multiplier: parse_u64(mult)?.max(1),
+                multiplier: parse_magnitude(mult, "walk multiplier")?.max(1),
             });
             return Ok(());
         }
@@ -441,7 +445,7 @@ impl FaultPlan {
             let kind = if eff == "off" {
                 LinkFaultKind::Outage
             } else if let Some(extra) = eff.strip_prefix('+') {
-                LinkFaultKind::Degrade(parse_u64(extra)?)
+                LinkFaultKind::Degrade(parse_magnitude(extra, "link degradation")?)
             } else {
                 return Err("link effect must be `off` or `+N`".to_string());
             };
@@ -468,6 +472,22 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     s.trim()
         .parse::<u64>()
         .map_err(|_| format!("`{s}` is not a number"))
+}
+
+/// The largest link degradation (`+N` extra cycles per traversal) and walk
+/// multiplier (`xM`) a fault plan accepts. A million cycles per hop or a
+/// million-fold walk is far beyond any physical fault, yet keeps every
+/// latency sum the fabrics and the walker compute well inside `u64`.
+pub const MAX_FAULT_MAGNITUDE: u64 = 1_000_000;
+
+fn parse_magnitude(s: &str, what: &str) -> Result<u64, String> {
+    let v = parse_u64(s)?;
+    if v > MAX_FAULT_MAGNITUDE {
+        return Err(format!(
+            "{what} {v} exceeds the ceiling of {MAX_FAULT_MAGNITUDE}"
+        ));
+    }
+    Ok(v)
 }
 
 fn parse_window(s: &str) -> Result<CycleWindow, String> {
@@ -554,13 +574,8 @@ pub struct LinkState {
 pub struct DiagSnapshot {
     /// Simulated cycle at the failure.
     pub cycle: u64,
-    /// Events still queued across all event-queue shards (the chip-wide
-    /// total, whatever the domain count).
+    /// Events still queued in the simulation's event queue.
     pub event_queue_depth: usize,
-    /// Deepest single event-queue shard. Equals `event_queue_depth` on a
-    /// sequential (one-domain) run; under `--parallel-domains` a large gap
-    /// between the two flags a lopsided domain partition.
-    pub event_queue_domain_max: usize,
     /// Transactions (lookups, inserts, invalidations) still in flight.
     pub inflight_transactions: usize,
     /// Hardware threads that had not finished their access quota.
@@ -585,13 +600,6 @@ impl fmt::Display for DiagSnapshot {
             self.unfinished_threads,
             self.pending_messages.len()
         )?;
-        if self.event_queue_domain_max < self.event_queue_depth {
-            write!(
-                f,
-                " (deepest domain shard: {})",
-                self.event_queue_domain_max
-            )?;
-        }
         if !self.active_faults.is_empty() {
             write!(f, "; active faults: {}", self.active_faults.join(", "))?;
         }

@@ -8,8 +8,7 @@ use crate::source::SourceFile;
 /// Flags `expr[index]` slice/array/map indexing in sim crates.
 ///
 /// `v[i]` panics on an out-of-range index, and a panic mid-simulation
-/// both loses the run and (under the domain-parallel driver) can tear
-/// down sibling workers at a nondeterministic point. The deliberate
+/// loses the run instead of returning a structured error. The deliberate
 /// spellings are `get`/`get_mut` with explicit handling, or an indexing
 /// site audited and annotated with a justified
 /// `allow(panic-indexing)` stating why the bound holds.
@@ -35,7 +34,7 @@ impl Rule for PanicIndexing {
 
     fn description(&self) -> &'static str {
         "slice/array indexing (`v[i]`) on a sim path: panics on an out-of-range \
-         index and aborts the run at a nondeterministic point under parallel drivers"
+         index and aborts the run without a structured error"
     }
 
     fn fix_hint(&self) -> &'static str {

@@ -87,7 +87,12 @@ impl SampleSpec {
                 "warmup must be >= 1 (the warmup-boundary statistics reset must fire)".into(),
             ));
         }
-        if period < window + warmup {
+        let Some(leg) = window.checked_add(warmup) else {
+            return Err(SampleSpecError::Constraint(format!(
+                "window {window} + warmup {warmup} overflows u64"
+            )));
+        };
+        if period < leg {
             return Err(SampleSpecError::Constraint(format!(
                 "period {period} < window {window} + warmup {warmup}"
             )));
@@ -220,6 +225,8 @@ mod tests {
             "1000:60:30:5",
             "a:b:c",
             "1000:60:30@x",
+            "18446744073709551615:18446744073709551615:1",
+            "18446744073709551615:1:18446744073709551615",
         ] {
             assert!(
                 bad.parse::<SampleSpec>().is_err(),

@@ -45,10 +45,7 @@ pub enum TraceEvent {
 
 /// An infinite, deterministic stream of [`TraceEvent`]s for one hardware
 /// thread, plus the page-size backing decisions for the addresses it emits.
-///
-/// Sources are `Send`: under `--parallel-domains`, each domain worker
-/// thread owns the sources of the hardware threads in its domain.
-pub trait TraceSource: Send {
+pub trait TraceSource {
     /// The next event. Streams are infinite; the simulator decides when to
     /// stop.
     fn next_event(&mut self) -> TraceEvent;

@@ -7,23 +7,18 @@
 #   ci.sh             fast PR gate: fmt + determinism lint + clippy +
 #                     build + tier-1 tests (including the NCT trace
 #                     round-trip/golden-fixture suite and the
-#                     hierarchical-fabric unit/property/lookahead
-#                     suites). Target: a few minutes.
+#                     hierarchical-fabric unit/property suites).
+#                     Target: a few minutes.
 #   ci.sh --nightly   everything above plus the slow sweeps: chaos
 #                     property suite (including the 1024-core
 #                     cluster-outage run), the 1024-core cascading
 #                     recovery-chaos smoke and the closed-loop
 #                     recovery-latency study, the 512/1024-core hier-vs-mesh
 #                     scale-up claim and smoke, fault-sweep smoke, the
-#                     full golden-report determinism sweep, the full
-#                     domain-parallel sweep (domains 2/4/8 on every
-#                     fabric, plus the perf.sh wall-clock gate), the
+#                     full golden-report determinism sweep, the
 #                     circuit host-benchmark smoke (exit code only), and the
 #                     end-to-end trace-replay equivalence check
 #                     (record -> replay -> byte-for-byte report diff).
-#
-# The fast gate already proves 2-domain invariance: tier-1 tests include
-# determinism.rs's two_domain_runs_are_byte_identical_to_sequential.
 #
 # The lint step writes JSON + SARIF reports to target/lint/ so CI can
 # upload them as build artifacts; it exits non-zero on any
@@ -87,7 +82,7 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: recovery-chaos smoke (1024-core cascading schedule) =="
   # The test itself asserts a non-empty recovered-translation count and
-  # 8-domain byte-identity; release mode keeps the smoke under a minute.
+  # repeat byte-identity; release mode keeps the smoke under a minute.
   cargo test -q --release --test chaos \
     nightly_cascading_recovery_storm_at_1024_cores -- --ignored
 
@@ -106,12 +101,6 @@ if [[ "$NIGHTLY" == "1" ]]; then
   echo "== nightly: golden-report determinism sweep =="
   cargo test -q --test golden_reports
   cargo test -q --test determinism
-
-  echo "== nightly: full domain-parallel sweep (domains 2/4/8, every fabric) =="
-  cargo test -q --test determinism -- --ignored
-
-  echo "== nightly: domain-parallel wall-clock gate =="
-  NOCSTAR_PERF_ENFORCE=1 scripts/perf.sh --quick
 
   echo "== nightly: host-benchmark smoke (circuit fabric) =="
   # Gates on the exit code only: a failed repetition, a report-digest

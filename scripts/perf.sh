@@ -1,29 +1,18 @@
 #!/usr/bin/env bash
-# Wall-clock benchmark for the domain-parallel simulation driver
-# (DESIGN.md §12). Sweeps 64- and 256-core systems across the five
-# interconnect fabrics at 1 vs 8 simulation domains and writes
-# bench_results/BENCH_parallel.json with wall-clock times and committed
+# Wall-clock benchmark for the sequential simulation driver. Runs 64- and
+# 256-core systems across the five interconnect fabrics and writes
+# bench_results/BENCH_perf.json with wall-clock times and committed
 # accesses per second; the hierarchical-fabric rows are additionally
 # split out into bench_results/BENCH_hier.json (DESIGN.md §13). It also
 # runs the closed-loop recovery-latency study and publishes it as
-# bench_results/BENCH_recovery.json (DESIGN.md §14). The
-# perf binary interleaves repetitions across the domain counts, so host
-# noise (VM steal, frequency drift) hits both configurations equally
-# and the reported minima are comparable.
+# bench_results/BENCH_recovery.json (DESIGN.md §14). The tracked
+# bench_results/BENCH_parallel.json is the last measurement of the
+# removed domain-parallel driver (DESIGN.md §12); this script no longer
+# writes it.
 #
 # Usage:
 #   perf.sh            full sweep (reps=5)
 #   perf.sh --quick    mesh + hier, 256 cores only (reps=3)
-#
-# Environment:
-#   NOCSTAR_PERF_ENFORCE=1   exit non-zero if the 8-domain run is slower
-#                            than sequential on the 256-core packet mesh.
-#                            Skipped (with a notice) on single-CPU hosts:
-#                            the parallel driver's workers can only
-#                            overlap with the commit loop when there is
-#                            a second hardware thread to run them on, so
-#                            on one CPU conservative parallelization is
-#                            total-work-bound and cannot beat sequential.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +31,7 @@ else
 fi
 
 HOST_CPUS="$(nproc)"
-OUT=bench_results/BENCH_parallel.json
+OUT=bench_results/BENCH_perf.json
 mkdir -p bench_results
 
 echo "== building perf binary =="
@@ -52,9 +41,9 @@ LINES="$(mktemp)"
 trap 'rm -f "$LINES"' EXIT
 for cores in "${CORE_COUNTS[@]}"; do
   for org in "${ORGS[@]}"; do
-    echo "== $org, $cores cores, domains 1 vs 8 (reps=$REPS, interleaved) =="
+    echo "== $org, $cores cores (reps=$REPS) =="
     ./target/release/perf --cores "$cores" --org "$org" \
-      --parallel-domains 1,8 --reps "$REPS" | tee -a "$LINES"
+      --reps "$REPS" | tee -a "$LINES"
   done
 done
 
@@ -68,16 +57,6 @@ doc = {
     "reps": int(os.environ["REPS"]),
     "results": results,
 }
-# Headline comparison: the ISSUE's target configuration, 256-core
-# packet mesh at 8 domains vs sequential.
-mesh = {r["domains"]: r for r in results
-        if r["org"] == "distributed" and r["cores"] == 256}
-if 1 in mesh and 8 in mesh:
-    doc["mesh_256"] = {
-        "sequential_ms": mesh[1]["wall_ms"],
-        "eight_domain_ms": mesh[8]["wall_ms"],
-        "speedup": round(mesh[1]["wall_ms"] / mesh[8]["wall_ms"], 3),
-    }
 out = os.environ["OUT"]
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
@@ -100,30 +79,6 @@ if hier:
         f.write("\n")
     print(f"wrote {hier_out}")
 EOF
-
-if [[ "${NOCSTAR_PERF_ENFORCE:-0}" == "1" ]]; then
-  if [[ "$HOST_CPUS" -lt 2 ]]; then
-    echo "perf gate: SKIPPED (host has $HOST_CPUS CPU; the domain workers"
-    echo "have no second hardware thread to overlap with the commit loop,"
-    echo "so the 8-domain-vs-sequential comparison is not meaningful here)"
-  else
-    python3 - "$OUT" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-mesh = doc.get("mesh_256")
-if mesh is None:
-    sys.exit("perf gate: no 256-core mesh results (ran with --quick?)")
-if mesh["speedup"] < 1.0:
-    sys.exit(
-        "perf gate: FAILED — 8-domain 256-core mesh run is slower than "
-        f"sequential ({mesh['eight_domain_ms']}ms vs "
-        f"{mesh['sequential_ms']}ms, speedup {mesh['speedup']})"
-    )
-print(f"perf gate: OK (8-domain speedup {mesh['speedup']} on the 256-core mesh)")
-EOF
-  fi
-fi
 
 echo "== closed-loop recovery-latency study =="
 if [[ "$QUICK" == "1" ]]; then

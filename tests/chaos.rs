@@ -54,32 +54,24 @@ fn empty_plan_is_byte_identical_to_no_plan() {
 
 #[test]
 fn faulted_runs_are_byte_identical_across_repeats() {
+    // Fault windows key off simulated cycles, so the same plan replays
+    // the same schedule on every fabric it acts on.
     let spec = "seed=7; deny@500-4000; link:*@0-60000=+1; walk@1000-20000=x4; \
                 slice:2@0-30000; storm@0-60000";
-    let first = faulted_json(TlbOrg::paper_nocstar(), spec);
-    let second = faulted_json(TlbOrg::paper_nocstar(), spec);
-    assert_eq!(first, second);
-}
-
-#[test]
-fn faulted_runs_are_domain_invariant() {
-    // Fault windows key off simulated cycles, and the parallel driver
-    // replays the exact sequential schedule — so a faulted 4-domain run
-    // must serialize byte-identically to the faulted sequential run.
-    let spec = "seed=7; deny@500-4000; link:*@0-60000=+1; walk@1000-20000=x4; \
-                slice:2@0-30000; storm@0-60000";
-    let faulted_domains = |domains: usize| -> String {
-        let mut config = SystemConfig::new(CORES, TlbOrg::paper_nocstar());
-        config.metrics = true;
-        config.parallel_domains = domains;
-        let workload = WorkloadAssignment::preset(&config, Preset::Redis);
-        Simulation::new(config, workload)
-            .with_faults(spec.parse().expect("spec"))
-            .run(ACCESSES)
-            .to_json()
-            .to_string()
-    };
-    assert_eq!(faulted_domains(1), faulted_domains(4));
+    for org in [
+        TlbOrg::paper_nocstar(),
+        TlbOrg::paper_distributed(),
+        TlbOrg::paper_hier(4),
+    ] {
+        let first = faulted_json(org, spec);
+        let second = faulted_json(org, spec);
+        assert_eq!(
+            first,
+            second,
+            "nondeterministic faulted {} run",
+            org.label()
+        );
+    }
 }
 
 #[test]
@@ -123,30 +115,29 @@ fn no_translation_is_lost_under_any_fault_class() {
 fn whole_cluster_outage_at_scale_is_deterministic_and_lossless() {
     // Takes an entire 16-tile cluster offline for the first 50k cycles of
     // a 1024-core hierarchical run. Displaced lookups fall back to page
-    // walks (faults cost cycles, never translations), and the domain-
-    // parallel driver must replay the same schedule byte-for-byte.
+    // walks (faults cost cycles, never translations), and a repeat run
+    // must replay the same schedule byte-for-byte.
     const BIG: usize = 1024;
     const QUOTA: u64 = 150;
     let spec = "cluster:3/16@0-50000; retry=6";
-    let run = |domains: usize| {
+    let run = || {
         let mut config = SystemConfig::new(BIG, TlbOrg::paper_hier(16));
         config.metrics = true;
-        config.parallel_domains = domains;
         let workload = WorkloadAssignment::preset(&config, Preset::Redis);
         Simulation::new(config, workload)
             .with_faults(spec.parse().expect("spec"))
             .run(QUOTA)
     };
-    let sequential = run(1);
+    let first = run();
     assert_eq!(
-        sequential.accesses,
+        first.accesses,
         BIG as u64 * QUOTA,
         "lost translations during the cluster outage"
     );
     assert_eq!(
-        sequential.to_json().to_string(),
-        run(8).to_json().to_string(),
-        "8-domain cluster-outage run diverged from sequential"
+        first.to_json().to_string(),
+        run().to_json().to_string(),
+        "repeat cluster-outage run diverged"
     );
 }
 
@@ -240,17 +231,15 @@ fn rolling_cluster_failures_at_scale_recover_without_livelock() {
 fn nightly_cascading_recovery_storm_at_1024_cores() {
     // The full stack at scale: a rolling two-cluster failure wave with an
     // outage-triggered shootdown storm on a 1024-core hierarchical chip,
-    // closed-loop recovery on, replayed over the 8-way domain-parallel
-    // driver. Must finish losslessly with a non-empty recovered count and
-    // serialize byte-identically to the sequential run.
+    // closed-loop recovery on. Must finish losslessly with a non-empty
+    // recovered count and serialize byte-identically across repeats.
     const BIG: usize = 1024;
     const QUOTA: u64 = 120;
     let spec = "cluster:3/16@0-4000; cluster:7/16@3000-8000; \
                 storm@0-4000; retry=6";
-    let run = |domains: usize| {
+    let run = || {
         let mut config = SystemConfig::new(BIG, TlbOrg::paper_hier(16));
         config.metrics = true;
-        config.parallel_domains = domains;
         let workload = WorkloadAssignment::preset(&config, Preset::Redis);
         Simulation::new(config, workload)
             .with_faults(spec.parse().expect("spec"))
@@ -258,23 +247,23 @@ fn nightly_cascading_recovery_storm_at_1024_cores() {
             .try_run(QUOTA)
             .expect("cascading chaos at 1024 cores must terminate")
     };
-    let sequential = run(1);
+    let first = run();
     assert_eq!(
-        sequential.accesses,
+        first.accesses,
         BIG as u64 * QUOTA,
         "lost translations during the 1024-core cascade"
     );
     assert!(
-        sequential
+        first
             .metrics
             .counter("recovery.translations_recovered")
             .is_some_and(|v| v > 0),
         "the closed loop never recovered a translation at scale"
     );
     assert_eq!(
-        sequential.to_json().to_string(),
-        run(8).to_json().to_string(),
-        "8-domain cascading-recovery run diverged from sequential"
+        first.to_json().to_string(),
+        run().to_json().to_string(),
+        "repeat cascading-recovery run diverged"
     );
 }
 
@@ -339,6 +328,54 @@ fn wedged_fabric_reports_livelock_with_diagnostics() {
     assert!(snap.unfinished_threads > 0);
     // The partial report still carries whatever completed pre-wedge.
     assert!(abort.partial.accesses > 0);
+}
+
+#[test]
+fn fault_magnitudes_are_capped_and_the_ceiling_never_panics() {
+    // Above the ceiling, the parser rejects the clause at its byte offset.
+    for (spec, at) in [
+        ("walk@0-100000=x18446744073709551615", 0),
+        ("seed=1; link:*@0-100000=+18446744073709551615", 8),
+    ] {
+        let err = FaultPlan::parse(spec).expect_err("magnitude above the ceiling");
+        assert!(err.contains(&format!("at byte {at}")), "{spec}: {err}");
+        assert!(err.contains("ceiling"), "{spec}: {err}");
+    }
+    // At the ceiling, every fabric ends with a report or a structured
+    // abort, never an overflow panic.
+    let max = nocstar::faults::MAX_FAULT_MAGNITUDE;
+    const BIG: usize = 16;
+    for spec in [
+        format!("walk@0-100000=x{max}"),
+        format!("link:*@0-100000=+{max}"),
+    ] {
+        let plan = FaultPlan::parse(&spec).expect("a plan at the ceiling parses");
+        for org in [
+            TlbOrg::paper_ideal(),
+            TlbOrg::paper_distributed(),
+            TlbOrg::Monolithic {
+                entries_per_core: 1024,
+                banks: BIG,
+                net: MonolithicNet::Smart(8),
+                latency_override: None,
+            },
+            TlbOrg::paper_nocstar(),
+            TlbOrg::paper_hier(4),
+        ] {
+            let config = SystemConfig::new(BIG, org);
+            let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+            match Simulation::new(config, workload)
+                .with_faults(plan.clone())
+                .try_run(50)
+            {
+                Ok(report) => assert_eq!(report.accesses, BIG as u64 * 50),
+                // A million-fold walk outlasts the livelock window.
+                Err(abort) => {
+                    assert_eq!(abort.error.kind(), "livelock", "{spec} on {}", org.label())
+                }
+            }
+        }
+    }
 }
 
 #[test]

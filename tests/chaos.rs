@@ -75,6 +75,29 @@ fn faulted_runs_are_byte_identical_across_repeats() {
 }
 
 #[test]
+fn faulted_runs_are_domain_invariant() {
+    // A faulted run must not depend on the thread it executes on or on
+    // other simulations running beside it in the same process: four
+    // concurrent runs of one plan serialize byte-identically to the run
+    // on the test thread.
+    let spec = "seed=7; deny@500-4000; link:*@0-60000=+1; walk@1000-20000=x4; \
+                slice:2@0-30000; storm@0-60000";
+    let sequential = faulted_json(TlbOrg::paper_nocstar(), spec);
+    let concurrent: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| faulted_json(TlbOrg::paper_nocstar(), spec)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("faulted run panicked"))
+            .collect()
+    });
+    for (i, report) in concurrent.iter().enumerate() {
+        assert_eq!(&sequential, report, "concurrent faulted run {i} diverged");
+    }
+}
+
+#[test]
 fn no_translation_is_lost_under_any_fault_class() {
     // One directed run per fault class, windows covering the entire run.
     // `run` only returns once every thread finished its quota, so a

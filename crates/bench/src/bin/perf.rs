@@ -3,8 +3,10 @@
 //! Runs one fixed-seed configuration end to end and prints a single JSON
 //! line with the best-of-`--reps` wall-clock time and the simulation
 //! throughput (committed memory accesses — the simulator's unit of work —
-//! per wall-clock second). `scripts/perf.sh` sweeps this binary over the
-//! paper's fabrics and core counts and assembles
+//! per wall-clock second), plus the process's peak resident set over all
+//! repetitions (`peak_rss_mb`, from `VmHWM` in `/proc/self/status`; `null`
+//! where that is unavailable). `scripts/perf.sh` sweeps this binary over
+//! the paper's fabrics and core counts and assembles
 //! `bench_results/BENCH_perf.json`.
 //!
 //! Flags:
@@ -39,6 +41,25 @@ fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
             std::process::exit(2);
         }
     }
+}
+
+/// Peak resident set in MiB as a JSON value: `VmHWM` from
+/// `/proc/self/status`, or `null` where the kernel does not provide it.
+fn peak_rss_mb() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb: f64 = status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))?
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .ok()?;
+            Some(format!("{:.1}", kb / 1024.0))
+        })
+        .unwrap_or_else(|| "null".into())
 }
 
 fn parse_org(name: &str, cores: usize, cluster_size: usize) -> TlbOrg {
@@ -87,10 +108,12 @@ fn main() {
         accesses = report.accesses;
     }
     let events_per_sec = accesses as f64 / (best_ms / 1e3);
+    let peak_rss_mb = peak_rss_mb();
     println!(
         "{{\"org\":\"{org_name}\",\"cores\":{cores},\
          \"warmup\":{warmup},\"measure\":{measure},\"reps\":{reps},\
          \"wall_ms\":{best_ms:.1},\"events_per_sec\":{events_per_sec:.0},\
-         \"cycles\":{cycles},\"accesses\":{accesses}}}"
+         \"cycles\":{cycles},\"accesses\":{accesses},\
+         \"peak_rss_mb\":{peak_rss_mb}}}"
     );
 }

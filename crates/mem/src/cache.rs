@@ -1,7 +1,8 @@
-//! A set-associative, write-back cache model.
+//! A set-associative, presence-only cache model.
 //!
-//! Tracks only presence (tags + LRU stamps), not data: the simulator needs
-//! hit/miss outcomes and latencies, not values. Lines are 64 bytes.
+//! Tracks only presence (u32 tags in recency order), not data or dirty
+//! state: the simulator needs hit/miss outcomes and latencies, not values,
+//! and charges no write-back traffic. Lines are 64 bytes.
 
 use nocstar_stats::counter::HitMiss;
 use nocstar_types::time::Cycles;
@@ -54,9 +55,28 @@ impl CacheConfig {
             latency: Cycles::new(50),
         }
     }
+
+    /// Whether a [`Cache`] of this geometry gives every line of a
+    /// `phys_capacity`-byte physical memory its own u32 tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry with no ways or no whole set.
+    pub fn tags_fit(&self, phys_capacity: u64) -> bool {
+        let sets = self.capacity / LINE_BYTES / self.ways as u64;
+        phys_capacity / LINE_BYTES / sets < u64::from(u32::MAX)
+    }
 }
 
-/// One level of cache: a tag array with per-line LRU stamps.
+/// One level of cache: per set, `ways` u32 tags in move-to-front order.
+///
+/// A line's tag is `line / num_sets + 1`, so `0` marks an invalid way.
+/// Each set keeps its valid tags most-recently-used first and its invalid
+/// ways last; a hit moves its tag to the front and a miss pushes the new
+/// tag on the front, dropping the last way (an invalid one, else the LRU
+/// line). That holds exactly the contents a per-line LRU stamp would, in
+/// 4 host bytes per line. The tag array starts as one zeroed allocation,
+/// which the OS backs lazily, so sets no access reaches cost no memory.
 ///
 /// # Examples
 ///
@@ -66,25 +86,18 @@ impl CacheConfig {
 ///
 /// let mut l1 = Cache::new(CacheConfig::haswell_l1d());
 /// let pa = PhysAddr::new(0x1000);
-/// assert!(!l1.access(pa, false)); // cold miss (fills the line)
-/// assert!(l1.access(pa, false));  // now hits
-/// assert!(l1.access(PhysAddr::new(0x1020), true)); // same 64B line
+/// assert!(!l1.access(pa)); // cold miss (fills the line)
+/// assert!(l1.access(pa));  // now hits
+/// assert!(l1.access(PhysAddr::new(0x1020))); // same 64B line
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    num_sets: usize,
-    /// Per (set, way): line tag, or `u64::MAX` when invalid.
-    tags: Vec<u64>,
-    /// Per (set, way): last-use stamp.
-    stamps: Vec<u64>,
-    /// Per (set, way): dirty bit.
-    dirty: Vec<bool>,
-    clock: u64,
+    num_sets: u64,
+    /// Per set, `ways` tags, MRU first; `0` is an invalid way.
+    tags: Vec<u32>,
     stats: HitMiss,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache level.
@@ -102,15 +115,10 @@ impl Cache {
             "capacity must be a whole number of {}-way sets of {LINE_BYTES}B lines",
             config.ways
         );
-        let num_sets = (lines / config.ways as u64) as usize;
-        let total = num_sets * config.ways;
         Self {
             config,
-            num_sets,
-            tags: vec![INVALID; total],
-            stamps: vec![0; total],
-            dirty: vec![false; total],
-            clock: 0,
+            num_sets: lines / config.ways as u64,
+            tags: vec![0; lines as usize],
             stats: HitMiss::new(),
         }
     }
@@ -121,9 +129,9 @@ impl Cache {
     }
 
     /// Accesses one physical address; returns whether it hit. A miss fills
-    /// the line (evicting LRU); a write marks the line dirty.
-    pub fn access(&mut self, pa: PhysAddr, write: bool) -> bool {
-        let hit = self.lookup_fill(pa, write);
+    /// the line, evicting the set's LRU line when the set is full.
+    pub fn access(&mut self, pa: PhysAddr) -> bool {
+        let hit = self.touch(pa);
         if hit {
             self.stats.hit();
         } else {
@@ -136,48 +144,34 @@ impl Cache {
     /// updates recency identically but records no hit or miss — the
     /// functional-warming entry point for sampled fast-forward replay
     /// (`SAMPLING.md §2`).
-    pub fn touch(&mut self, pa: PhysAddr, write: bool) -> bool {
-        self.lookup_fill(pa, write)
-    }
-
-    fn lookup_fill(&mut self, pa: PhysAddr, write: bool) -> bool {
-        let line = pa.value() / LINE_BYTES;
-        let set = (line % self.num_sets as u64) as usize;
-        let base = set * self.config.ways;
-        self.clock += 1;
-
-        let ways = &mut self.tags[base..base + self.config.ways];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            if write {
-                self.dirty[base + w] = true;
+    pub fn touch(&mut self, pa: PhysAddr) -> bool {
+        let (set, tag) = self.locate(pa);
+        let ways = &mut self.tags[set];
+        match ways.iter().position(|&t| t == tag) {
+            Some(p) => {
+                ways[..=p].rotate_right(1);
+                true
             }
-            return true;
+            None => {
+                ways.rotate_right(1);
+                ways[0] = tag;
+                false
+            }
         }
-        // Miss: fill into the LRU way (invalid ways have stamp 0, so they
-        // are chosen first). `ways >= 1` is asserted at construction, so
-        // the min always exists; way 0 is the degenerate fallback.
-        let victim = (0..self.config.ways)
-            .min_by_key(|&w| {
-                if self.tags[base + w] == INVALID {
-                    0
-                } else {
-                    self.stamps[base + w].max(1)
-                }
-            })
-            .unwrap_or(0);
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        self.dirty[base + victim] = write;
-        false
     }
 
     /// Checks for presence without filling or updating recency.
     pub fn probe(&self, pa: PhysAddr) -> bool {
+        let (set, tag) = self.locate(pa);
+        self.tags[set].contains(&tag)
+    }
+
+    /// The tag range of `pa`'s set and its tag.
+    fn locate(&self, pa: PhysAddr) -> (std::ops::Range<usize>, u32) {
         let line = pa.value() / LINE_BYTES;
-        let set = (line % self.num_sets as u64) as usize;
-        let base = set * self.config.ways;
-        self.tags[base..base + self.config.ways].contains(&line)
+        let base = (line % self.num_sets) as usize * self.config.ways;
+        let tag = (line / self.num_sets + 1) as u32;
+        (base..base + self.config.ways, tag)
     }
 
     /// Hit/miss statistics.
@@ -192,7 +186,7 @@ impl Cache {
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -214,8 +208,8 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut c = tiny();
         let pa = PhysAddr::new(0x40);
-        assert!(!c.access(pa, false));
-        assert!(c.access(pa, false));
+        assert!(!c.access(pa));
+        assert!(c.access(pa));
         assert_eq!(c.stats().hits(), 1);
         assert_eq!(c.stats().misses(), 1);
     }
@@ -223,8 +217,8 @@ mod tests {
     #[test]
     fn same_line_different_offsets_share_one_line() {
         let mut c = tiny();
-        c.access(PhysAddr::new(0x100), false);
-        assert!(c.access(PhysAddr::new(0x13f), true));
+        c.access(PhysAddr::new(0x100));
+        assert!(c.access(PhysAddr::new(0x13f)));
         assert_eq!(c.occupancy(), 1);
     }
 
@@ -232,10 +226,10 @@ mod tests {
     fn lru_eviction_within_a_set() {
         let mut c = tiny(); // 4 sets; lines 0,4,8 map to set 0
         let line = |n: u64| PhysAddr::new(n * 4 * LINE_BYTES);
-        c.access(line(0), false);
-        c.access(line(1), false);
-        c.access(line(0), false); // line 1 is now LRU
-        c.access(line(2), false); // evicts line 1
+        c.access(line(0));
+        c.access(line(1));
+        c.access(line(0)); // line 1 is now LRU
+        c.access(line(2)); // evicts line 1
         assert!(c.probe(line(0)));
         assert!(!c.probe(line(1)));
         assert!(c.probe(line(2)));
@@ -247,7 +241,7 @@ mod tests {
         assert!(!c.probe(PhysAddr::new(0)));
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.stats().accesses(), 0);
-        c.access(PhysAddr::new(0), false);
+        c.access(PhysAddr::new(0));
         assert!(c.probe(PhysAddr::new(0)));
     }
 
@@ -255,11 +249,11 @@ mod tests {
     fn touch_fills_and_promotes_without_statistics() {
         let mut c = tiny();
         let pa = PhysAddr::new(0x40);
-        assert!(!c.touch(pa, false)); // cold: fills the line
-        assert!(c.touch(pa, false));
+        assert!(!c.touch(pa)); // cold: fills the line
+        assert!(c.touch(pa));
         assert_eq!(c.stats().accesses(), 0);
         // The touched line is genuinely resident for later timed accesses.
-        assert!(c.access(pa, false));
+        assert!(c.access(pa));
         assert_eq!(c.stats().hits(), 1);
     }
 
@@ -267,10 +261,10 @@ mod tests {
     fn touch_and_access_share_one_recency_order() {
         let mut c = tiny(); // 4 sets; lines 0,4,8 map to set 0
         let line = |n: u64| PhysAddr::new(n * 4 * LINE_BYTES);
-        c.access(line(0), false);
-        c.access(line(1), false);
-        c.touch(line(0), false); // line 1 is now LRU
-        c.access(line(2), false); // evicts line 1
+        c.access(line(0));
+        c.access(line(1));
+        c.touch(line(0)); // line 1 is now LRU
+        c.access(line(2)); // evicts line 1
         assert!(c.probe(line(0)));
         assert!(!c.probe(line(1)));
     }
@@ -313,7 +307,7 @@ mod tests {
             });
             for &a in &addrs {
                 let pa = PhysAddr::new(a);
-                c.access(pa, a % 3 == 0);
+                c.access(pa);
                 prop_assert!(c.probe(pa));
                 prop_assert!(c.occupancy() <= 64);
             }
@@ -326,14 +320,159 @@ mod tests {
             let mut c = tiny(); // 4 sets, 2 ways
             let a = PhysAddr::new(seed * 4 * LINE_BYTES);
             let b = PhysAddr::new((seed + 1000) * 4 * LINE_BYTES); // same set
-            c.access(a, false);
-            c.access(b, false);
+            c.access(a);
+            c.access(b);
             c.reset_stats();
             for _ in 0..10 {
-                c.access(a, false);
-                c.access(b, false);
+                c.access(a);
+                c.access(b);
             }
             prop_assert_eq!(c.stats().misses(), 0);
+        }
+    }
+
+    /// The stamp-based LRU this module used to implement: a u64 tag and a
+    /// u64 last-use stamp per way, with the victim chosen by a scan for an
+    /// invalid way, else the oldest stamp. The oracle for [`Cache`].
+    struct StampLru {
+        ways: usize,
+        num_sets: u64,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: HitMiss,
+    }
+
+    impl StampLru {
+        fn new(config: CacheConfig) -> Self {
+            let lines = (config.capacity / LINE_BYTES) as usize;
+            Self {
+                ways: config.ways,
+                num_sets: (lines / config.ways) as u64,
+                tags: vec![u64::MAX; lines],
+                stamps: vec![0; lines],
+                clock: 0,
+                stats: HitMiss::new(),
+            }
+        }
+
+        fn base(&self, line: u64) -> usize {
+            (line % self.num_sets) as usize * self.ways
+        }
+
+        fn touch(&mut self, pa: PhysAddr) -> bool {
+            let line = pa.value() / LINE_BYTES;
+            let base = self.base(line);
+            self.clock += 1;
+            if let Some(w) = (base..base + self.ways).find(|&w| self.tags[w] == line) {
+                self.stamps[w] = self.clock;
+                return true;
+            }
+            let victim = (base..base + self.ways)
+                .min_by_key(|&w| {
+                    if self.tags[w] == u64::MAX {
+                        0
+                    } else {
+                        self.stamps[w]
+                    }
+                })
+                .unwrap();
+            self.tags[victim] = line;
+            self.stamps[victim] = self.clock;
+            false
+        }
+
+        fn access(&mut self, pa: PhysAddr) -> bool {
+            let hit = self.touch(pa);
+            if hit {
+                self.stats.hit();
+            } else {
+                self.stats.miss();
+            }
+            hit
+        }
+
+        fn probe(&self, pa: PhysAddr) -> bool {
+            let line = pa.value() / LINE_BYTES;
+            let base = self.base(line);
+            self.tags[base..base + self.ways].contains(&line)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != u64::MAX).count()
+        }
+    }
+
+    /// One operation of an oracle stream: 0 = access, 1 = touch, 2 = probe.
+    type Op = (u8, u64);
+
+    /// Replays `ops` on a `Cache` and on the stamp-based reference and
+    /// fails on the first disagreement.
+    fn agrees_with_stamp_lru(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut cache = Cache::new(config);
+        let mut oracle = StampLru::new(config);
+        for (i, &(op, addr)) in ops.iter().enumerate() {
+            let pa = PhysAddr::new(addr);
+            let (got, want) = match op {
+                0 => (cache.access(pa), oracle.access(pa)),
+                1 => (cache.touch(pa), oracle.touch(pa)),
+                _ => (cache.probe(pa), oracle.probe(pa)),
+            };
+            prop_assert_eq!(got, want, "op {} ({:?}) on {:#x}", i, op, addr);
+            prop_assert_eq!(cache.occupancy(), oracle.occupancy(), "after op {}", i);
+            prop_assert_eq!(cache.stats(), oracle.stats, "after op {}", i);
+        }
+        Ok(())
+    }
+
+    fn geometry(ways: usize, sets: u64) -> CacheConfig {
+        CacheConfig {
+            capacity: sets * ways as u64 * LINE_BYTES,
+            ways,
+            latency: Cycles::new(1),
+        }
+    }
+
+    #[test]
+    fn rehitting_the_lru_way_of_a_full_set_matches_the_oracle() {
+        for ways in [1usize, 2, 4, 16] {
+            // One set: lines 0..ways fill it, line 0 is then the LRU way.
+            let line = |n: u64| n * LINE_BYTES;
+            let mut ops: Vec<Op> = (0..ways as u64).map(|n| (0, line(n))).collect();
+            ops.push((0, line(0))); // hit at the last position
+            ops.push((0, line(ways as u64))); // evicts line 1, not line 0
+            ops.extend((0..=ways as u64).map(|n| (2, line(n))));
+            agrees_with_stamp_lru(geometry(ways, 1), &ops).unwrap();
+
+            let mut c = Cache::new(geometry(ways, 1));
+            for &(_, a) in &ops[..ways + 2] {
+                c.access(PhysAddr::new(a));
+            }
+            // The re-hit saved line 0 wherever a second way could hold it.
+            assert_eq!(c.probe(PhysAddr::new(line(0))), ways > 1);
+            assert_eq!(c.probe(PhysAddr::new(line(1))), ways == 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Move-to-front u32 tags agree with stamp-based LRU on every
+        /// return value, on occupancy and on statistics.
+        #[test]
+        fn prop_matches_stamp_lru(
+            ways in prop::sample::select(vec![1usize, 2, 4, 16]),
+            sets in prop::sample::select(vec![1u64, 2, 4]),
+            ops in prop::collection::vec((0u8..3, 0u64..3 * 4 * 16, 0u64..LINE_BYTES), 1..400),
+        ) {
+            // At most three times as many distinct lines as the largest
+            // cache holds, so sets overflow and evict.
+            let span = 3 * sets * ways as u64;
+            let ops: Vec<Op> = ops
+                .iter()
+                .map(|&(op, line, offset)| (op, (line % span) * LINE_BYTES + offset))
+                .collect();
+            agrees_with_stamp_lru(geometry(ways, sets), &ops)?;
         }
     }
 }

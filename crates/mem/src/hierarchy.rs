@@ -120,14 +120,26 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.cores` is zero or any cache geometry is invalid.
+    /// Panics if `config.cores` is zero, any cache geometry is invalid, or
+    /// `config.phys_capacity` has more lines per set of some level than
+    /// that level's u32 tags can tell apart.
     pub fn new(config: MemoryConfig) -> Self {
         assert!(config.cores > 0, "need at least one core");
+        let l1s = (0..config.cores).map(|_| Cache::new(config.l1d)).collect();
+        let l2s = (0..config.cores).map(|_| Cache::new(config.l2)).collect();
+        let llc = Cache::new(config.llc);
+        for (level, geometry) in [("L1D", config.l1d), ("L2", config.l2), ("LLC", config.llc)] {
+            assert!(
+                geometry.tags_fit(config.phys_capacity),
+                "{level} u32 tags cannot cover {} B of physical memory",
+                config.phys_capacity
+            );
+        }
         Self {
             config,
-            l1s: (0..config.cores).map(|_| Cache::new(config.l1d)).collect(),
-            l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
-            llc: Cache::new(config.llc),
+            l1s,
+            l2s,
+            llc,
             phys: PhysMemory::new(config.phys_capacity),
             tables: BTreeMap::new(),
             pwcs: (0..config.cores)
@@ -144,26 +156,28 @@ impl MemorySystem {
     }
 
     /// One data (or PTE) access by `core` to physical address `pa`,
-    /// walking L1 → L2 → LLC → DRAM and filling on the way back.
+    /// walking L1 → L2 → LLC → DRAM and filling on the way back. The
+    /// caches track presence only, so a write costs what a read does and
+    /// `_write` changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn access(&mut self, core: CoreId, pa: PhysAddr, write: bool) -> AccessResult {
+    pub fn access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) -> AccessResult {
         let c = core.index();
-        if self.l1s[c].access(pa, write) {
+        if self.l1s[c].access(pa) {
             return AccessResult {
                 latency: self.l1s[c].latency(),
                 serviced_by: ServicedBy::L1,
             };
         }
-        if self.l2s[c].access(pa, write) {
+        if self.l2s[c].access(pa) {
             return AccessResult {
                 latency: self.l2s[c].latency(),
                 serviced_by: ServicedBy::L2,
             };
         }
-        if self.llc.access(pa, write) {
+        if self.llc.access(pa) {
             return AccessResult {
                 latency: self.llc.latency(),
                 serviced_by: ServicedBy::Llc,
@@ -185,15 +199,11 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn warm_access(&mut self, core: CoreId, pa: PhysAddr, write: bool) {
+    pub fn warm_access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) {
         let c = core.index();
-        if self.l1s[c].touch(pa, write) {
-            return;
+        if !self.l1s[c].touch(pa) && !self.l2s[c].touch(pa) {
+            self.llc.touch(pa);
         }
-        if self.l2s[c].touch(pa, write) {
-            return;
-        }
-        self.llc.touch(pa, write);
     }
 
     /// Ensures `va` is mapped at the given page size (an OS demand-paging
@@ -318,6 +328,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LINE_BYTES;
 
     fn system(cores: usize) -> MemorySystem {
         let mut cfg = MemoryConfig::haswell(cores);
@@ -337,6 +348,31 @@ mod tests {
             mem.access(CoreId::new(0), pa, false).serviced_by,
             ServicedBy::L1
         );
+    }
+
+    #[test]
+    fn haswell_tags_cover_physical_memory_with_margin() {
+        // The 64-set L1D is the tightest level: 128x the 64 GiB still fits.
+        let config = MemoryConfig::haswell(1024);
+        let margin = config.phys_capacity << 7;
+        assert!(config.l1d.tags_fit(margin));
+        assert!(config.l2.tags_fit(margin));
+        assert!(config.llc.tags_fit(margin));
+        assert!(!config.l1d.tags_fit(margin << 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "L1D u32 tags cannot cover")]
+    fn physical_memory_beyond_the_tag_range_is_rejected() {
+        let mut cfg = MemoryConfig::haswell(1);
+        // One line, so every physical line shares its only set.
+        cfg.l1d = CacheConfig {
+            capacity: LINE_BYTES,
+            ways: 1,
+            latency: Cycles::new(1),
+        };
+        cfg.phys_capacity = LINE_BYTES << 32;
+        let _ = MemorySystem::new(cfg);
     }
 
     #[test]

@@ -102,6 +102,10 @@ impl FileTrace {
         let path = path.as_ref().to_path_buf();
         let file =
             File::open(&path).map_err(|e| nct::io_err(&format!("open {}", path.display()), &e))?;
+        let file_len = file
+            .metadata()
+            .map_err(|e| nct::io_err(&format!("stat {}", path.display()), &e))?
+            .len();
         let mut reader = BufReader::new(file);
         let header = NctHeader::read_from(&mut reader)?;
         if thread >= header.thread_count {
@@ -120,6 +124,16 @@ impl FileTrace {
         let section_offset = u64::from_le_bytes(word);
         word.copy_from_slice(&entry[8..16]);
         let section_len = u64::from_le_bytes(word);
+        // Every allocation below is bounded by `section_len`, so check it
+        // against the file before trusting it.
+        if section_offset
+            .checked_add(section_len)
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(NctError::Truncated(format!(
+                "thread {thread} section extends past end of file"
+            )));
+        }
 
         // Validate the whole section with a one-block buffer, recording
         // where each payload lives for replay-time seeks.
@@ -480,6 +494,30 @@ mod tests {
                 thread: 0,
                 block: 0
             })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_a_section_longer_than_the_file() {
+        let recorded = capture(Preset::Redis, 0, 50);
+        let path = scratch("long_section.nct");
+        let mut bytes = NctFile::from_recorded(std::slice::from_ref(&recorded), "redis")
+            .unwrap()
+            .to_bytes();
+        // Thread 0's directory entry claims a huge section, and its first
+        // block claims a ~4 GiB payload inside it.
+        let entry = nct::HEADER_LEN + "redis".len();
+        let section = u64::from_le_bytes(bytes[entry..entry + 8].try_into().unwrap()) as usize;
+        bytes[entry + 8..entry + 16].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        let mut pos = section;
+        nct::decode_frame_table(&bytes, &mut pos, 0).unwrap();
+        nct::read_uvarint(&bytes, &mut pos).unwrap();
+        bytes[pos..pos + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileTrace::open(&path, 0),
+            Err(NctError::Truncated(msg)) if msg.contains("past end of file")
         ));
         std::fs::remove_file(&path).unwrap();
     }

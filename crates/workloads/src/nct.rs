@@ -254,7 +254,9 @@ fn encode_page_event(out: &mut Vec<u8>, tag: u8, vpn: VirtPageNum) {
 pub fn decode_block(payload: &[u8], block_events: usize) -> Result<Vec<TraceEvent>, NctError> {
     let mut pos = 0usize;
     let mut prev_va: u64 = 0;
-    let mut out = Vec::with_capacity(block_events);
+    // `block_events` comes from an untrusted header; every event takes at
+    // least its tag byte, so the payload length bounds the real count.
+    let mut out = Vec::with_capacity(block_events.min(payload.len()));
     for _ in 0..block_events {
         let tag = *payload
             .get(pos)
@@ -748,6 +750,16 @@ mod tests {
             is_write: write,
             gap: Cycles::new(gap),
         })
+    }
+
+    #[test]
+    fn decode_block_reserves_no_more_than_its_payload() {
+        // A one-byte payload claiming u32::MAX events must fail, not try
+        // to reserve u32::MAX events up front.
+        assert!(matches!(
+            decode_block(&[0x02], u32::MAX as usize),
+            Err(NctError::Truncated(_))
+        ));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 #                     recovery-latency study, the 512/1024-core hier-vs-mesh
 #                     scale-up claim and smoke, fault-sweep smoke, the
 #                     full golden-report determinism sweep, the
-#                     circuit host-benchmark smoke (exit code only), and the
+#                     circuit and 1024-core hier host-benchmark smokes
+#                     (exit code only), and the
 #                     end-to-end trace-replay equivalence check
 #                     (record -> replay -> byte-for-byte report diff).
 #
@@ -107,6 +108,12 @@ if [[ "$NIGHTLY" == "1" ]]; then
   # mismatch between runs of one seed, or a wrong access count. No timing
   # threshold: this catches a fabric change that breaks determinism.
   python3 hostbench/run.py --workload circuit-redis-256 --seconds 10 --trace 0
+
+  echo "== nightly: host-benchmark smoke (1024-core hier, data-cache model) =="
+  # Same exit-code-only gate on the workload whose footprint and set-up
+  # the LLC model dominates: catches a cache change that breaks
+  # determinism or the access count at scale.
+  python3 hostbench/run.py --workload hier-redis-1024 --seconds 10 --trace 0
 
   echo "== nightly: trace-replay equivalence (live vs recorded, real binaries) =="
   # Capture the redis preset with the simulator's defaults, then run the

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Wall-clock benchmark for the sequential simulation driver. Runs 64- and
 # 256-core systems across the five interconnect fabrics and writes
-# bench_results/BENCH_perf.json with wall-clock times and committed
-# accesses per second; the hierarchical-fabric rows are additionally
-# split out into bench_results/BENCH_hier.json (DESIGN.md §13). It also
+# bench_results/BENCH_perf.json with wall-clock times, committed
+# accesses per second and peak RSS (`peak_rss_mb`, the perf process's
+# VmHWM, or null where /proc/self/status is missing); the
+# hierarchical-fabric rows are additionally split out into
+# bench_results/BENCH_hier.json (DESIGN.md §13). It also
 # runs the closed-loop recovery-latency study and publishes it as
 # bench_results/BENCH_recovery.json (DESIGN.md §14). The tracked
 # bench_results/BENCH_parallel.json is the last measurement of the

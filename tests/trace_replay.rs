@@ -5,7 +5,8 @@
 //!   run's `SimReport` byte-for-byte;
 //! * a property-based encode/decode round-trip over randomized streams;
 //! * structured (panic-free) errors on missing, truncated, bad-magic and
-//!   checksum-corrupted files;
+//!   checksum-corrupted files, and properties feeding arbitrary bytes and
+//!   mutated files with re-fixed checksums to both decoders;
 //! * the golden fixture `tests/golden/example.nct`, pinned three ways:
 //!   against the in-code encoder, against the worked hex dump embedded in
 //!   `TRACE_FORMAT.md` §6, and against a golden replay report
@@ -16,11 +17,11 @@
 
 use nocstar::prelude::*;
 use nocstar::types::VirtPageNum;
-use nocstar::workloads::nct::{NctFile, ThreadStream};
+use nocstar::workloads::nct::{self, NctFile, NctHeader, ThreadStream};
 use nocstar::workloads::trace::{MemAccess, TraceEvent, TraceSource};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const CORES: usize = 4;
 const WARMUP: u64 = 200;
@@ -214,6 +215,162 @@ fn missing_truncated_and_corrupt_files_fail_with_structured_errors() {
             available: 1
         })
     ));
+}
+
+/// A valid file of `threads` synthetic streams of `n` events each.
+fn synth_file(seed: u64, n: usize, threads: usize) -> Vec<u8> {
+    let streams = (0..threads)
+        .map(|t| {
+            let (events, superpage_frames) = synth_events(seed ^ (t as u64) << 32, n);
+            ThreadStream {
+                superpage_frames,
+                events,
+            }
+        })
+        .collect();
+    NctFile::new(Asid::new(1), "hostile", streams)
+        .expect("assemble")
+        .to_bytes()
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// The header offset and payload length of every block of a valid file.
+fn block_extents(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let header = NctHeader::read_from(&mut &bytes[..]).expect("valid header");
+    let mut blocks = Vec::new();
+    for t in 0..header.thread_count {
+        let entry = header.dir_entry_offset(t) as usize;
+        let (offset, len) = (u64_at(bytes, entry), u64_at(bytes, entry + 8));
+        let mut pos = offset;
+        let frames = nct::read_uvarint(bytes, &mut pos).expect("frame count");
+        for _ in 0..=frames {
+            // Each frame delta, then the event count.
+            nct::read_uvarint(bytes, &mut pos).expect("varint");
+        }
+        while pos < offset + len {
+            let payload_len =
+                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+            blocks.push((pos, payload_len));
+            pos += nct::BLOCK_HEADER_LEN + payload_len;
+        }
+    }
+    blocks
+}
+
+/// A one-thread file whose section declares `declared` events and holds
+/// one block claiming `claimed` events over `payload`, checksummed
+/// honestly, so the forged counts reach the block decoder.
+fn forged_file(declared: u64, claimed: u32, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = synth_file(1, 1, 1);
+    let entry = nct::HEADER_LEN + "hostile".len();
+    let section = u64_at(&bytes, entry);
+    bytes.truncate(section);
+    nct::write_uvarint(&mut bytes, 0); // no superpage frames
+    nct::write_uvarint(&mut bytes, declared);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&claimed.to_le_bytes());
+    bytes.extend_from_slice(&nct::fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let len = (bytes.len() - section) as u64;
+    bytes[entry + 8..entry + 16].copy_from_slice(&len.to_le_bytes());
+    bytes
+}
+
+/// Recomputes each block's checksum over its original payload extent, so
+/// mutations reach the decoders instead of stopping at the checksum.
+fn refix_checksums(bytes: &mut [u8], blocks: &[(usize, usize)]) {
+    for &(at, len) in blocks {
+        let payload = at + nct::BLOCK_HEADER_LEN;
+        let sum = nct::fnv1a64(&bytes[payload..payload + len]);
+        bytes[at + 8..at + 16].copy_from_slice(&sum.to_le_bytes());
+    }
+}
+
+/// Feeds `bytes` to the in-memory and the streaming decoder. Returning at
+/// all means neither panicked nor aborted; beyond that, every stream the
+/// whole-file parse accepts must also open for streaming replay.
+fn decode_both(bytes: &[u8], path: &Path) -> Result<(), TestCaseError> {
+    let parsed = NctFile::parse(bytes);
+    std::fs::write(path, bytes).expect("write");
+    for thread in 0..4u16 {
+        let opened = FileTrace::open(path, thread);
+        if let Ok(file) = &parsed {
+            if let Some(stream) = file.threads().get(usize::from(thread)) {
+                let trace = opened.map_err(|e| {
+                    TestCaseError::Fail(format!("parse accepted thread {thread}, open: {e}"))
+                })?;
+                prop_assert_eq!(trace.event_count(), stream.events.len() as u64);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary bytes, bare or behind a valid fixed header, never make
+    /// either decoder panic or over-allocate.
+    #[test]
+    fn prop_arbitrary_bytes_fail_cleanly(
+        body in prop::collection::vec(any::<u8>(), 0..512),
+        with_header in any::<bool>(),
+    ) {
+        let mut bytes = Vec::new();
+        if with_header {
+            bytes.extend_from_slice(&synth_file(1, 1, 1)[..nct::HEADER_LEN]);
+        }
+        bytes.extend_from_slice(&body);
+        decode_both(&bytes, &scratch("prop_arbitrary.nct"))?;
+    }
+
+    /// Valid files with flipped bytes and smashed block-header fields, their
+    /// checksums re-fixed, decode to `Ok` or a structured error.
+    #[test]
+    fn prop_mutated_files_fail_cleanly(
+        seed in any::<u64>(),
+        n in 1usize..6000,
+        threads in 1usize..4,
+        flips in prop::collection::vec((any::<u64>(), 1u8..=255), 0..4),
+        smash in prop::collection::vec((any::<u64>(), 0usize..2, any::<u32>()), 0..2),
+    ) {
+        let mut bytes = synth_file(seed, n, threads);
+        let blocks = block_extents(&bytes);
+        for &(at, xor) in &flips {
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] ^= xor;
+        }
+        // Overwrite a block's payload length (field 0) or event count
+        // (field 1) with an arbitrary u32.
+        for &(pick, field, value) in &smash {
+            let (at, _) = blocks[(pick % blocks.len() as u64) as usize];
+            bytes[at + 4 * field..at + 4 * field + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        refix_checksums(&mut bytes, &blocks);
+        decode_both(&bytes, &scratch("prop_mutated.nct"))?;
+    }
+
+    /// A block claiming up to `u32::MAX` events, inside a section that
+    /// declares at least as many, is decoded without reserving room for
+    /// the claim: the payload, real events or noise, bounds the work.
+    #[test]
+    fn prop_forged_event_counts_fail_cleanly(
+        claimed in any::<u32>(),
+        slack in 0u64..2,
+        noise in prop::collection::vec(any::<u8>(), 1..64),
+        real in any::<bool>(),
+    ) {
+        let payload = if real {
+            nct::encode_block(&synth_events(u64::from(claimed), noise.len()).0)
+        } else {
+            noise
+        };
+        let bytes = forged_file(u64::from(claimed) + slack, claimed, &payload);
+        decode_both(&bytes, &scratch("prop_forged.nct"))?;
+    }
 }
 
 /// The worked example of `TRACE_FORMAT.md` §6, built with the public API.

@@ -43,6 +43,17 @@ fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
     }
 }
 
+/// [`flag_u64`] for a flag that cannot be zero: no cores, or no measured
+/// accesses, leaves nothing to simulate.
+fn flag_nonzero(args: &[String], name: &str, default: u64) -> u64 {
+    let n = flag_u64(args, name, default);
+    if n == 0 {
+        eprintln!("error: {name} must be at least 1");
+        std::process::exit(2);
+    }
+    n
+}
+
 /// Peak resident set in MiB as a JSON value: `VmHWM` from
 /// `/proc/self/status`, or `null` where the kernel does not provide it.
 fn peak_rss_mb() -> String {
@@ -86,12 +97,12 @@ fn parse_org(name: &str, cores: usize, cluster_size: usize) -> TlbOrg {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let cores = flag_u64(&args, "--cores", 256) as usize;
+    let cores = flag_nonzero(&args, "--cores", 256) as usize;
     let cluster_size = flag_u64(&args, "--cluster-size", 16) as usize;
     let org_name = flag(&args, "--org").unwrap_or_else(|| "distributed".into());
     let org = parse_org(&org_name, cores, cluster_size);
     let warmup = flag_u64(&args, "--warmup", 500);
-    let measure = flag_u64(&args, "--measure", 2000);
+    let measure = flag_nonzero(&args, "--measure", 2000);
     let reps = flag_u64(&args, "--reps", 3).max(1);
 
     let mut best_ms = f64::INFINITY;

@@ -35,6 +35,17 @@ fn parse_count(args: &[String], flag: &str) -> Option<u64> {
     })
 }
 
+/// [`parse_count`] for a flag that cannot be zero: no cores, or no
+/// measured accesses, leaves nothing to simulate.
+fn parse_nonzero(args: &[String], flag: &str) -> Option<u64> {
+    let n = parse_count(args, flag);
+    if n == Some(0) {
+        eprintln!("error: {flag} must be at least 1");
+        std::process::exit(2);
+    }
+    n
+}
+
 fn parse_org(name: &str, cores: usize) -> TlbOrg {
     match name {
         "private" => TlbOrg::paper_private(),
@@ -55,7 +66,7 @@ fn parse_org(name: &str, cores: usize) -> TlbOrg {
 /// Runs the single configured simulation and persists its report.
 pub fn run(effort: Effort) {
     let args: Vec<String> = std::env::args().collect();
-    let cores = parse_count(&args, "--cores").unwrap_or(16) as usize;
+    let cores = parse_nonzero(&args, "--cores").unwrap_or(16) as usize;
     let org = parse_org(
         &arg_value(&args, "--org").unwrap_or_else(|| "nocstar".into()),
         cores,
@@ -70,7 +81,7 @@ pub fn run(effort: Effort) {
     };
     let effort = Effort {
         warmup: parse_count(&args, "--warmup").unwrap_or(effort.warmup),
-        accesses: parse_count(&args, "--measure").unwrap_or(effort.accesses),
+        accesses: parse_nonzero(&args, "--measure").unwrap_or(effort.accesses),
         ..effort
     };
 

@@ -17,10 +17,12 @@ use nocstar_types::time::Cycle;
 use nocstar_types::MeshShape;
 
 /// The network under an L2 TLB organization.
-// One instance exists per simulation, so the variant size skew (HierNoc
-// aggregates per-cluster fabrics) costs nothing worth a box's
-// indirection on the per-cycle advance path.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one instance exists per simulation, so the variant size skew (HierNoc \
+              aggregates per-cluster fabrics) costs nothing worth a box's indirection \
+              on the per-cycle advance path"
+)]
 #[derive(Debug)]
 pub enum NetworkModel {
     /// No network (private TLBs, or the zero-latency ideal).

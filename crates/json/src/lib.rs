@@ -223,6 +223,10 @@ fn write_value(out: &mut String, value: &Json, indent: Option<usize>, depth: usi
 }
 
 /// Allocation-free u64 formatting (hot path for metric dumps).
+#[expect(
+    clippy::expect_used,
+    reason = "the buffer holds only ASCII digits written above"
+)]
 fn format_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
     let mut i = buf.len();
     loop {
@@ -233,8 +237,6 @@ fn format_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    // The buffer only ever holds ASCII digits.
-    // nocstar-lint: allow(sim-unwrap): the buffer holds only ASCII digits written above
     std::str::from_utf8(&buf[i..]).expect("digits are ASCII")
 }
 

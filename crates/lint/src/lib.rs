@@ -1,12 +1,18 @@
-//! # nocstar-lint — determinism & simulator-invariant static analysis
+//! # nocstar-lint — the simulator-invariant half of the determinism gate
 //!
 //! NOCSTAR's headline results rest on byte-identical, seed-deterministic
 //! cycle-level reports. The runtime guards (golden snapshots, the
-//! determinism suite) catch drift *after* it happens; this crate catches
-//! the three classic ways drift lands — hash-ordered iteration,
-//! wall-clock reads, entropy-seeded RNG — plus two simulator invariants
-//! (no panicking extraction in sim code, no in-place event-timestamp
-//! mutation) at analysis time.
+//! determinism suite) catch drift *after* it happens; the static gate
+//! catches it at analysis time, in two halves (DESIGN.md §10):
+//!
+//! * **clippy** (`clippy.toml` plus `[workspace.lints.clippy]`, inherited
+//!   by every sim crate) bans hash-ordered collections, host clocks and
+//!   `unwrap`/`expect`; the vendored `rand` has no entropy-seeded
+//!   constructors at all.
+//! * **this crate** checks what clippy cannot express: in-place
+//!   event-timestamp mutation, order-sensitive float reduction,
+//!   nondeterministic values flowing into event-time and `SimReport`
+//!   sinks, and (at warn level) panicking `v[i]` indexing.
 //!
 //! The environment vendors no `syn`, so the analyzer builds its own
 //! stack: a small Rust lexer ([`lexer`]) feeds an AST-lite
@@ -14,7 +20,7 @@
 //! uses (items, `use` paths, `impl` blocks, fn signatures, typed `let`
 //! bindings, struct/enum fields), a per-file scope table ([`scope`])
 //! that chases import renames and `type` aliases to resolve collection
-//! and cell types, and a forward dataflow-lite pass ([`taint`]) that
+//! and float types, and a forward dataflow-lite pass ([`taint`]) that
 //! propagates nondeterministic taint through `let` chains into
 //! event-time and `SimReport` sinks. Rule visitors ([`rules`]) combine
 //! token patterns with these resolved views; `#[cfg(test)]` regions,
@@ -25,15 +31,14 @@
 //! `// nocstar-lint: allow(<rule>): <justification>` — the justification
 //! is mandatory, its absence is itself a build-failing finding, and a
 //! suppression whose rules ran but matched nothing is *stale* and fails
-//! the build too. Workspace runs are incremental via [`cache`].
+//! the build too.
 //!
 //! Run it as `cargo run -p nocstar-lint`; see `--help` for output
-//! formats (human, JSON, SARIF), cache control, and CI wiring.
+//! formats (human, JSON, SARIF) and CI wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod lexer;
 pub mod output;
 pub mod parser;
@@ -43,7 +48,6 @@ pub mod scope;
 pub mod source;
 pub mod taint;
 
-use cache::Cache;
 use policy::{Policy, Severity};
 use rules::INVALID_SUPPRESSION;
 use source::SourceFile;
@@ -52,7 +56,7 @@ use std::path::{Path, PathBuf};
 /// One reportable finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`sim-unwrap`, …, or `invalid-suppression`).
+    /// Rule id (`float-accumulation`, …, or `invalid-suppression`).
     pub rule: String,
     /// Severity under the file's class policy.
     pub severity: Severity,
@@ -76,10 +80,6 @@ pub struct Report {
     pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Number of files actually analyzed this run (the rest were served
-    /// from the incremental cache). Equals `files_scanned` on uncached
-    /// runs.
-    pub files_reanalyzed: usize,
 }
 
 impl Report {
@@ -96,7 +96,6 @@ impl Report {
         self.findings.extend(other.findings);
         self.suppressed.extend(other.suppressed);
         self.files_scanned += other.files_scanned;
-        self.files_reanalyzed += other.files_reanalyzed;
     }
 
     /// Canonical ordering for deterministic output.
@@ -113,7 +112,6 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
     let file = SourceFile::analyze(rel_path.to_path_buf(), class, text);
     let mut report = Report {
         files_scanned: 1,
-        files_reanalyzed: 1,
         ..Report::default()
     };
     let rel = rel_path.to_string_lossy();
@@ -127,7 +125,7 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
         let mut raw = Vec::new();
         rule.check(&file, &mut raw);
         for r in raw {
-            if rule.exempts_test_code() && file.in_test_code(r.line) {
+            if file.in_test_code(r.line) {
                 continue;
             }
             let finding = Finding {
@@ -178,15 +176,10 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
             continue;
         }
         let covered_in_test = file.in_test_code(s.covers.0) || file.in_test_code(s.covers.1);
-        let all_ran = s.rules.iter().all(|rid| {
-            let rule = registry
-                .iter()
-                .find(|r| r.id() == rid)
-                .expect("unknown rules handled above");
-            policy.severity(class, rid) != Severity::Allow
-                && !policy.exempted(&rel, rid)
-                && !(rule.exempts_test_code() && covered_in_test)
-        });
+        let all_ran = !covered_in_test
+            && s.rules.iter().all(|rid| {
+                policy.severity(class, rid) != Severity::Allow && !policy.exempted(&rel, rid)
+            });
         if all_ran {
             report.findings.push(invalid_suppression(
                 rel_path,
@@ -215,30 +208,12 @@ fn invalid_suppression(rel_path: &Path, line: u32, message: String) -> Finding {
     }
 }
 
-/// Lints every `src/` tree the policy classifies, rooted at `root`,
-/// without a cache (every file is analyzed).
+/// Lints every `src/` tree the policy classifies, rooted at `root`.
 ///
 /// # Errors
 ///
 /// An error string naming the first unreadable directory or file.
 pub fn lint_workspace(root: &Path, policy: &Policy) -> Result<Report, String> {
-    lint_workspace_cached(root, policy, None)
-}
-
-/// Lints every `src/` tree the policy classifies, rooted at `root`,
-/// serving unchanged files from `cache` when one is supplied. Fresh
-/// results are inserted into the cache; the caller persists it (see
-/// [`Cache::save`]). Files whose content hash hits the cache count
-/// toward `files_scanned` but not `files_reanalyzed`.
-///
-/// # Errors
-///
-/// An error string naming the first unreadable directory or file.
-pub fn lint_workspace_cached(
-    root: &Path,
-    policy: &Policy,
-    mut cache: Option<&mut Cache>,
-) -> Result<Report, String> {
     let mut report = Report::default();
     for (dir, class) in &policy.crates {
         let src = root.join(dir).join("src");
@@ -254,28 +229,8 @@ pub fn lint_workspace_cached(
         for path in files {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-            let rel_str = rel.to_string_lossy().to_string();
-            let hash = cache::fnv1a(text.as_bytes());
-            if let Some(entry) = cache.as_deref().and_then(|c| c.lookup(&rel_str, hash)) {
-                report.merge(Report {
-                    findings: entry.findings.clone(),
-                    suppressed: entry.suppressed.clone(),
-                    files_scanned: 1,
-                    files_reanalyzed: 0,
-                });
-                continue;
-            }
-            let file_report = lint_source(&rel, class, &text, policy);
-            if let Some(c) = cache.as_deref_mut() {
-                c.insert(
-                    &rel_str,
-                    hash,
-                    file_report.findings.clone(),
-                    file_report.suppressed.clone(),
-                );
-            }
-            report.merge(file_report);
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            report.merge(lint_source(rel, class, &text, policy));
         }
     }
     report.sort();
@@ -307,11 +262,8 @@ mod tests {
             [crates]
             "crates/x" = "sim"
             [rules.sim]
-            unordered-iteration = "error"
-            wall-clock = "error"
-            entropy-rng = "error"
-            sim-unwrap = "error"
             event-time-regression = "error"
+            float-accumulation = "error"
             [exempt]
             "crates/x/src/event.rs" = "event-time-regression"
             "#,
@@ -325,24 +277,26 @@ mod tests {
 
     #[test]
     fn findings_in_test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n  use std::collections::HashMap;\n  fn f() { x.unwrap(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n  \
+                   fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n  \
+                   fn g(e: &mut Ev) { e.at = 0; }\n}";
         let r = lint("crates/x/src/a.rs", src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 
     #[test]
     fn exempt_file_skips_only_its_rule() {
-        let src = "fn f() { e.at = now; let m = std::collections::HashMap::new(); }";
+        let src = "fn f(e: &mut Ev, xs: &[f64]) -> f64 { e.at = now; xs.iter().sum::<f64>() }";
         let r = lint("crates/x/src/event.rs", src);
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
         assert!(!rules.contains(&"event-time-regression"), "{rules:?}");
-        assert!(rules.contains(&"unordered-iteration"));
+        assert!(rules.contains(&"float-accumulation"));
     }
 
     #[test]
     fn suppressed_findings_move_to_the_suppressed_list() {
-        let src =
-            "fn f() {\n  x.unwrap() // nocstar-lint: allow(sim-unwrap): length checked on entry\n}";
+        let src = "fn f(xs: &[f64]) -> f64 {\n  xs.iter().sum::<f64>() \
+                   // nocstar-lint: allow(float-accumulation): fixed-order slice\n}";
         let r = lint("crates/x/src/a.rs", src);
         assert_eq!(r.findings.len(), 0, "{:?}", r.findings);
         assert_eq!(r.suppressed.len(), 1);
@@ -350,11 +304,12 @@ mod tests {
 
     #[test]
     fn unjustified_suppression_is_an_error_finding() {
-        let src = "fn f() {\n  x.unwrap() // nocstar-lint: allow(sim-unwrap)\n}";
+        let src = "fn f(xs: &[f64]) -> f64 {\n  xs.iter().sum::<f64>() \
+                   // nocstar-lint: allow(float-accumulation)\n}";
         let r = lint("crates/x/src/a.rs", src);
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
         assert!(
-            rules.contains(&"sim-unwrap"),
+            rules.contains(&"float-accumulation"),
             "unjustified must not silence"
         );
         assert!(rules.contains(&"invalid-suppression"));

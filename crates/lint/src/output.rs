@@ -26,13 +26,11 @@ pub fn human(report: &Report) -> String {
     }
     let errors = report.error_count();
     let warns = report.findings.len() - errors;
-    let cached = report.files_scanned - report.files_reanalyzed.min(report.files_scanned);
     let _ = writeln!(
         out,
-        "nocstar-lint: {} file(s) scanned ({} re-analyzed, {cached} cached), \
-         {errors} error(s), {warns} warning(s), {} justified suppression(s)",
+        "nocstar-lint: {} file(s) scanned, {errors} error(s), {warns} warning(s), \
+         {} justified suppression(s)",
         report.files_scanned,
-        report.files_reanalyzed,
         report.suppressed.len()
     );
     out
@@ -54,10 +52,6 @@ pub fn json(report: &Report) -> String {
     Json::obj(vec![
         ("tool", Json::str("nocstar-lint")),
         ("files_scanned", Json::U64(report.files_scanned as u64)),
-        (
-            "files_reanalyzed",
-            Json::U64(report.files_reanalyzed as u64),
-        ),
         ("errors", Json::U64(report.error_count() as u64)),
         (
             "findings",
@@ -160,25 +154,23 @@ mod tests {
     fn sample() -> Report {
         Report {
             findings: vec![Finding {
-                rule: "sim-unwrap".into(),
+                rule: "float-accumulation".into(),
                 severity: Severity::Error,
                 path: PathBuf::from("crates/x/src/a.rs"),
                 line: 7,
-                message: "`.unwrap()` panics on the failure path".into(),
-                hint: "propagate a SimError".into(),
+                message: "`.sum()` reduces floats in iteration order".into(),
+                hint: "accumulate in integers".into(),
             }],
             suppressed: vec![],
             files_scanned: 3,
-            files_reanalyzed: 2,
         }
     }
 
     #[test]
     fn human_output_names_rule_path_and_line() {
         let text = human(&sample());
-        assert!(text.contains("error[sim-unwrap]: crates/x/src/a.rs:7:"));
-        assert!(text.contains("1 error(s)"));
-        assert!(text.contains("(2 re-analyzed, 1 cached)"), "{text}");
+        assert!(text.contains("error[float-accumulation]: crates/x/src/a.rs:7:"));
+        assert!(text.contains("3 file(s) scanned, 1 error(s)"), "{text}");
     }
 
     #[test]
@@ -200,7 +192,7 @@ mod tests {
         let results = runs[0].get("results").unwrap().as_array().unwrap();
         assert_eq!(
             results[0].get("ruleId").unwrap().as_str(),
-            Some("sim-unwrap")
+            Some("float-accumulation")
         );
     }
 }

@@ -61,9 +61,6 @@ pub struct Policy {
     /// Workspace-relative file path → rule id exempted for that file
     /// (the file *owns* the invariant the rule protects).
     pub exempt: BTreeMap<String, Vec<String>>,
-    /// FNV-1a hash of the policy text this was parsed from — part of the
-    /// incremental cache key, so editing the policy re-lints everything.
-    pub source_hash: u64,
 }
 
 /// A policy parse or validation error with line context.
@@ -103,10 +100,7 @@ impl Policy {
     ///
     /// [`PolicyError`] on the first malformed or unknown construct.
     pub fn parse(text: &str) -> Result<Policy, PolicyError> {
-        let mut policy = Policy {
-            source_hash: crate::cache::fnv1a(text.as_bytes()),
-            ..Policy::default()
-        };
+        let mut policy = Policy::default();
         let mut section: Option<String> = None;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx as u32 + 1;
@@ -249,11 +243,11 @@ mod tests {
         "crates/bench" = "tools"
 
         [rules.sim]
-        sim-unwrap = "error"    # trailing comment
-        wall-clock = "warn"
+        float-accumulation = "error"    # trailing comment
+        panic-indexing = "warn"
 
         [rules.tools]
-        entropy-rng = "error"
+        tainted-event-time = "error"
 
         [exempt]
         "crates/core/src/event.rs" = "event-time-regression"
@@ -263,10 +257,13 @@ mod tests {
     fn parses_the_full_shape() {
         let p = Policy::parse(GOOD).unwrap();
         assert_eq!(p.crates["crates/core"], "sim");
-        assert_eq!(p.severity("sim", "sim-unwrap"), Severity::Error);
-        assert_eq!(p.severity("sim", "wall-clock"), Severity::Warn);
-        assert_eq!(p.severity("sim", "entropy-rng"), Severity::Allow);
-        assert_eq!(p.severity("nonexistent", "sim-unwrap"), Severity::Allow);
+        assert_eq!(p.severity("sim", "float-accumulation"), Severity::Error);
+        assert_eq!(p.severity("sim", "panic-indexing"), Severity::Warn);
+        assert_eq!(p.severity("sim", "tainted-event-time"), Severity::Allow);
+        assert_eq!(
+            p.severity("nonexistent", "float-accumulation"),
+            Severity::Allow
+        );
         assert!(p.exempted("crates/core/src/event.rs", "event-time-regression"));
         assert!(!p.exempted("crates/core/src/sim.rs", "event-time-regression"));
     }
@@ -282,7 +279,7 @@ mod tests {
                 "unknown rule",
             ),
             (
-                "[crates]\n\"crates/x\" = \"sim\"\n[rules.sim]\nsim-unwrap = \"fatal\"",
+                "[crates]\n\"crates/x\" = \"sim\"\n[rules.sim]\nfloat-accumulation = \"fatal\"",
                 "unknown severity",
             ),
             (

@@ -4,32 +4,20 @@
 //! stream with an id, a human description, and a fix hint. The driver
 //! consults the [`Policy`](crate::policy::Policy) for the file's class to
 //! decide whether the rule runs and at what severity; rules themselves
-//! are policy-agnostic and only *find* patterns.
+//! are policy-agnostic and only *find* patterns. Findings inside
+//! `#[cfg(test)]` / `#[test]` regions are dropped by the driver.
 
-mod entropy_rng;
 mod event_time;
 mod float_accumulation;
 mod panic_indexing;
-mod sim_unwrap;
 mod tainted_event_time;
-mod unordered;
-mod wall_clock;
 
 use crate::source::SourceFile;
 
-pub use entropy_rng::EntropyRng;
 pub use event_time::EventTimeRegression;
 pub use float_accumulation::FloatAccumulation;
 pub use panic_indexing::PanicIndexing;
-pub use sim_unwrap::SimUnwrap;
 pub use tainted_event_time::TaintedEventTime;
-pub use unordered::UnorderedIteration;
-pub use wall_clock::WallClock;
-
-/// Bumped whenever any rule's detection logic changes; part of the
-/// incremental cache key (see [`crate::cache`]), so stale findings are
-/// never replayed across a rules upgrade.
-pub const RULES_VERSION: &str = "3";
 
 /// A raw match a rule emitted, before policy/suppression filtering.
 #[derive(Debug, Clone)]
@@ -48,12 +36,6 @@ pub trait Rule {
     fn description(&self) -> &'static str;
     /// How to fix a finding.
     fn fix_hint(&self) -> &'static str;
-    /// Whether `#[cfg(test)]` / `#[test]` regions are exempt. Most rules
-    /// exempt them (tests may panic and use hash maps freely); entropy
-    /// rules do not (a nondeterministic test is still a flaky test).
-    fn exempts_test_code(&self) -> bool {
-        true
-    }
     /// Scans one file, pushing matches into `out`.
     fn check(&self, file: &SourceFile, out: &mut Vec<RawFinding>);
 }
@@ -61,10 +43,6 @@ pub trait Rule {
 /// All shipped rules, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(UnorderedIteration),
-        Box::new(WallClock),
-        Box::new(EntropyRng),
-        Box::new(SimUnwrap),
         Box::new(EventTimeRegression),
         Box::new(FloatAccumulation),
         Box::new(PanicIndexing),

@@ -7,9 +7,9 @@ use crate::taint;
 
 /// Flags nondeterministic values reaching event-time and report sinks.
 ///
-/// The token rules (`wall-clock`, `entropy-rng`, `unordered-iteration`)
-/// flag the *sources*; this rule runs the [`crate::taint`] dataflow pass
-/// to flag the *flows* they cannot see: a clock read laundered through a
+/// Clippy bans the *sources* in sim crates (`clippy.toml`); this rule
+/// runs the [`crate::taint`] dataflow pass to flag the *flows*, which
+/// the tools class must avoid too: a clock read laundered through a
 /// `let` chain before landing in `ev.at`, a hash-map iteration binding
 /// used to stamp `at:` in a struct literal, entropy folded into a
 /// `SimReport`. One finding per sink, with the source named in the

@@ -105,39 +105,6 @@ impl<'a> Scope<'a> {
         self.classify(&Type::simple(name))
     }
 
-    /// Names introduced in this file (import renames and `type` aliases)
-    /// that resolve to the given class while being *spelled* as something
-    /// the token rules would not recognize. Each entry is
-    /// `(local name, declaration line, canonical name)`.
-    pub fn resolved_names(&self, class: TypeClass) -> Vec<(String, u32, String)> {
-        let mut out = Vec::new();
-        for (name, (_, line)) in &self.ast.imports {
-            self.push_resolved(name, *line, class, &mut out);
-        }
-        for (name, (_, line)) in &self.ast.aliases {
-            self.push_resolved(name, *line, class, &mut out);
-        }
-        out.sort();
-        out.dedup_by(|a, b| a.0 == b.0);
-        out
-    }
-
-    fn push_resolved(
-        &self,
-        name: &str,
-        line: u32,
-        class: TypeClass,
-        out: &mut Vec<(String, u32, String)>,
-    ) {
-        if classify_name(name) == class {
-            return; // the spelling itself already matches: token rules see it
-        }
-        let canon = self.canonical(&Type::simple(name));
-        if classify_name(&canon) == class {
-            out.push((name.to_string(), line, canon));
-        }
-    }
-
     /// The declared type of `field` on struct/enum `owner`, if known.
     pub fn field_type(&self, owner: &str, field: &str) -> Option<&Type> {
         self.ast
@@ -423,21 +390,6 @@ mod tests {
             .expect("keys token")
             - 1;
         assert_eq!(s.classify_receiver(f, &toks, dot), TypeClass::HashOrdered);
-    }
-
-    #[test]
-    fn resolved_names_surface_renames_and_aliases() {
-        let (ast, _) = scoped(
-            "use std::collections::HashMap as Map;\n\
-             use std::collections::BTreeMap;\n\
-             type Cache = Map<u64, u64>;\n\
-             type Sorted = BTreeMap<u64, u64>;",
-        );
-        let s = Scope::new(&ast);
-        let names = s.resolved_names(TypeClass::HashOrdered);
-        let just_names: Vec<&str> = names.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert_eq!(just_names, vec!["Cache", "Map"]);
-        assert!(names.iter().all(|(_, _, c)| c == "HashMap"));
     }
 
     #[test]

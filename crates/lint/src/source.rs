@@ -277,31 +277,31 @@ mod tests {
 
     #[test]
     fn trailing_suppression_covers_its_line() {
-        let src = "let x = m.unwrap(); // nocstar-lint: allow(sim-unwrap): length checked above\n";
+        let src = "let x = v[i]; // nocstar-lint: allow(panic-indexing): length checked above\n";
         let f = analyze(src);
         assert_eq!(f.suppressions.len(), 1);
-        assert!(f.suppressed("sim-unwrap", 1));
-        assert!(!f.suppressed("wall-clock", 1));
+        assert!(f.suppressed("panic-indexing", 1));
+        assert!(!f.suppressed("float-accumulation", 1));
     }
 
     #[test]
     fn standalone_suppression_covers_next_code_line() {
         let src =
-            "// nocstar-lint: allow(sim-unwrap, wall-clock): fixture only\n\nlet x = m.unwrap();";
+            "// nocstar-lint: allow(panic-indexing, float-accumulation): fixture only\n\nlet x = v[i];";
         let f = analyze(src);
-        assert!(f.suppressed("sim-unwrap", 3));
-        assert!(f.suppressed("wall-clock", 3));
-        assert!(!f.suppressed("sim-unwrap", 2));
+        assert!(f.suppressed("panic-indexing", 3));
+        assert!(f.suppressed("float-accumulation", 3));
+        assert!(!f.suppressed("panic-indexing", 2));
     }
 
     #[test]
     fn missing_justification_is_malformed() {
         for bad in [
-            "// nocstar-lint: allow(sim-unwrap)",
-            "// nocstar-lint: allow(sim-unwrap):",
-            "// nocstar-lint: allow(sim-unwrap):   ",
+            "// nocstar-lint: allow(panic-indexing)",
+            "// nocstar-lint: allow(panic-indexing):",
+            "// nocstar-lint: allow(panic-indexing):   ",
             "// nocstar-lint: allow()  : because",
-            "// nocstar-lint: deny(sim-unwrap): what",
+            "// nocstar-lint: deny(panic-indexing): what",
         ] {
             let f = analyze(&format!("{bad}\nlet x = 1;"));
             assert_eq!(f.suppressions.len(), 0, "{bad}");

@@ -23,7 +23,8 @@ use crate::scope::{Scope, TypeClass};
 use std::collections::BTreeSet;
 
 /// Identifiers that read host time or OS entropy — taint sources on
-/// sight, matching the `wall-clock` / `entropy-rng` token rules.
+/// sight. Clippy bans the same sources in sim crates (`clippy.toml`);
+/// this pass also follows them through tools code into event times.
 const SOURCE_IDENTS: &[&str] = &[
     "Instant",
     "SystemTime",

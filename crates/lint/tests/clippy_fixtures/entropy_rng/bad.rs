@@ -1,6 +1,6 @@
-//! Fixture: entropy-seeded randomness. The test-module hit is ALSO a
-//! finding: entropy-rng does not exempt test code (flaky tests are
-//! still flaky).
+//! Fixture: entropy-seeded randomness. The vendored `rand` shim has no
+//! entropy-seeded constructor, so this does not compile, test module
+//! included (flaky tests are still flaky).
 
 pub fn shuffle_seed() -> u64 {
     let mut rng = rand::thread_rng();

@@ -28,9 +28,9 @@ pub fn lookup(map: &std::collections::BTreeMap<u64, u64>, key: u64) -> u64 {
 mod tests {
     #[test]
     fn tests_may_unwrap() {
-        let v: Option<u64> = Some(3);
+        let v: Option<u64> = [3].first().copied();
         assert_eq!(v.unwrap(), 3);
-        let r: Result<u64, ()> = Ok(4);
+        let r: Result<u64, _> = "4".parse::<u64>();
         assert_eq!(r.expect("test invariant"), 4);
     }
 }

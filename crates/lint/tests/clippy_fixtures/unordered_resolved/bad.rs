@@ -1,6 +1,6 @@
 //! Fixture: hash-ordered collections reached through an import rename, a
 //! `type` alias, and a struct field type — invisible to a token-only
-//! rule, caught by scope resolution.
+//! rule, caught by clippy's type resolution.
 
 use std::collections::HashMap as Map;
 

@@ -2,7 +2,8 @@
 //! fire (and fail the CLI with exit code 1) and a known-good snippet that
 //! must stay silent, plus suppression-grammar fixtures proving that a
 //! justified `allow(...)` silences a finding while an unjustified one is
-//! itself a build-failing error.
+//! itself a build-failing error. The rules that moved to clippy keep
+//! their fixtures in `tests/clippy_fixtures/` (see `clippy_parity.rs`).
 
 use nocstar_lint::policy::Policy;
 use nocstar_lint::{lint_source, Report};
@@ -14,11 +15,6 @@ use std::process::Command;
 /// warn severity under the shipped sim policy, so its bad fixture must
 /// fire without failing the CLI gate.
 const RULES: &[(&str, &str, bool)] = &[
-    ("unordered_iteration", "unordered-iteration", true),
-    ("unordered_resolved", "unordered-iteration", true),
-    ("wall_clock", "wall-clock", true),
-    ("entropy_rng", "entropy-rng", true),
-    ("sim_unwrap", "sim-unwrap", true),
     ("event_time_regression", "event-time-regression", true),
     ("float_accumulation", "float-accumulation", true),
     ("panic_indexing", "panic-indexing", false),
@@ -87,27 +83,6 @@ fn every_good_fixture_is_clean() {
 }
 
 #[test]
-fn entropy_rule_fires_inside_test_modules_too() {
-    // Unlike the other rules, entropy-rng does not exempt #[cfg(test)]
-    // regions: a nondeterministic test is a flaky test. The bad fixture
-    // deliberately seeds entropy from inside a test module.
-    let report = lint_fixture("entropy_rng", "bad.rs");
-    let text = std::fs::read_to_string(fixture("entropy_rng", "bad.rs")).unwrap();
-    let test_mod_line = text
-        .lines()
-        .position(|l| l.contains("rand::random") && text.contains("#[cfg(test)]"))
-        .expect("fixture has an in-test entropy call") as u32;
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == "entropy-rng" && f.line > test_mod_line),
-        "expected an entropy-rng finding inside the #[cfg(test)] module: {:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn justified_suppression_silences_but_is_reported() {
     let report = lint_fixture("suppression", "justified.rs");
     assert!(
@@ -120,7 +95,7 @@ fn justified_suppression_silences_but_is_reported() {
         1,
         "the waived finding must still appear in the suppressed list for CI artifacts"
     );
-    assert_eq!(report.suppressed[0].rule, "sim-unwrap");
+    assert_eq!(report.suppressed[0].rule, "float-accumulation");
 }
 
 #[test]
@@ -128,7 +103,7 @@ fn suppression_without_justification_is_rejected() {
     let report = lint_fixture("suppression", "missing_justification.rs");
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     assert!(
-        rules.contains(&"sim-unwrap"),
+        rules.contains(&"float-accumulation"),
         "an unjustified allow(...) must not silence the original finding: {rules:?}"
     );
     assert!(
@@ -225,13 +200,13 @@ fn cli_writes_json_and_sarif_artifacts() {
         .arg(&json_path)
         .arg("--sarif-out")
         .arg(&sarif_path)
-        .arg(fixture("sim_unwrap", "bad.rs"))
+        .arg(fixture("float_accumulation", "bad.rs"))
         .output()
         .expect("nocstar-lint binary runs");
     assert_eq!(out.status.code(), Some(1));
     let json = std::fs::read_to_string(&json_path).expect("JSON artifact written");
     assert!(
-        json.contains("sim-unwrap"),
+        json.contains("float-accumulation"),
         "JSON artifact names the firing rule: {json}"
     );
     let sarif = std::fs::read_to_string(&sarif_path).expect("SARIF artifact written");
@@ -239,5 +214,5 @@ fn cli_writes_json_and_sarif_artifacts() {
         sarif.contains("\"version\": \"2.1.0\"") || sarif.contains("\"version\":\"2.1.0\""),
         "SARIF artifact declares schema version: {sarif}"
     );
-    assert!(sarif.contains("sim-unwrap"));
+    assert!(sarif.contains("float-accumulation"));
 }

@@ -1,13 +1,9 @@
 //! Fixture: a justified suppression silences its finding (which then
 //! shows up in the report's `suppressed` list, not `findings`).
 
-pub fn victim_way(stamps: &[u64]) -> usize {
-    debug_assert!(!stamps.is_empty());
-    stamps
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| **s)
-        // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant
-        .expect("nonempty")
-        .0
+pub fn mean_ns(samples: &[f64]) -> f64 {
+    debug_assert!(!samples.is_empty());
+    // nocstar-lint: allow(float-accumulation): fixed-order slice, display-only summary
+    let total: f64 = samples.iter().sum();
+    total / samples.len() as f64
 }

@@ -1,7 +1,8 @@
 //! Policy-coverage invariants: the shipped `nocstar-lint.toml` must
-//! classify every workspace crate, so a newly added crate cannot
-//! silently escape the deterministic-crate class, and the repo tree
-//! itself must lint clean under that policy.
+//! classify every workspace crate, each sim crate must inherit the
+//! workspace clippy lints (the other half of the gate), so a newly added
+//! crate cannot silently escape the deterministic-crate class, and the
+//! repo tree itself must lint clean under that policy.
 
 use nocstar_lint::policy::{Policy, Severity};
 use nocstar_lint::{lint_workspace, rules};
@@ -93,10 +94,6 @@ fn sim_crates_cannot_be_declassified() {
 /// fixed-geometry indexing sites are burned down (tracked in ROADMAP);
 /// it must never drop to `allow`.
 const SIM_SEVERITIES: &[(&str, Severity)] = &[
-    ("unordered-iteration", Severity::Error),
-    ("wall-clock", Severity::Error),
-    ("entropy-rng", Severity::Error),
-    ("sim-unwrap", Severity::Error),
     ("event-time-regression", Severity::Error),
     ("float-accumulation", Severity::Error),
     ("panic-indexing", Severity::Warn),
@@ -129,6 +126,44 @@ fn sim_class_severities_are_pinned() {
         rules::registry().len(),
         "stale SIM_SEVERITIES entry"
     );
+}
+
+/// True when `manifest` has a `[lints]` table saying `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != "[lints]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .any(|l| l.replace(' ', "") == "workspace=true")
+}
+
+#[test]
+fn sim_crates_and_only_sim_crates_inherit_the_clippy_gate() {
+    // The clippy half of the determinism gate (hash-ordered collections,
+    // host clocks, unwrap/expect) lives in `[workspace.lints.clippy]`;
+    // a sim crate that does not inherit it escapes that half entirely,
+    // and a tools crate that does would be denied the host clocks it
+    // times runs with.
+    let root = workspace_root();
+    for (dir, class) in &shipped_policy().crates {
+        let path = root.join(dir).join("Cargo.toml");
+        let manifest = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let inherits = inherits_workspace_lints(&manifest);
+        match class.as_str() {
+            "sim" => assert!(
+                inherits,
+                "sim crate `{dir}` must set `[lints] workspace = true` in its Cargo.toml"
+            ),
+            _ => assert!(
+                !inherits,
+                "{class} crate `{dir}` must not inherit the sim crates' workspace lints; \
+                 allow what it needs in its own `[lints.clippy]` table"
+            ),
+        }
+    }
 }
 
 #[test]

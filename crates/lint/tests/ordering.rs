@@ -25,10 +25,10 @@ fn finding_order_is_pinned_across_all_emitters() {
     // Deliberately scrambled argument order: reverse-alphabetical, with
     // a multi-finding fixture in the middle.
     let args = [
-        fixture("wall_clock", "bad.rs"),
         fixture("tainted_event_time", "bad.rs"),
-        fixture("sim_unwrap", "bad.rs"),
+        fixture("panic_indexing", "bad.rs"),
         fixture("float_accumulation", "bad.rs"),
+        fixture("event_time_regression", "bad.rs"),
     ];
     let tmp = workspace_root().join("target/lint-test-ordering");
     let json_path = tmp.join("report.json");

@@ -230,6 +230,10 @@ impl MemorySystem {
     /// translation as the page tables currently back it — which may be a
     /// different leaf level than `size` if the region was promoted or
     /// demoted. No timing, cache, or PWC effects.
+    #[expect(
+        clippy::expect_used,
+        reason = "just mapped above; mappings are monotone"
+    )]
     pub fn resolve_mapped(
         &mut self,
         asid: Asid,
@@ -241,7 +245,6 @@ impl MemorySystem {
         }
         self.ensure_mapped(asid, va, size);
         self.translate(asid, va)
-            // nocstar-lint: allow(sim-unwrap): just mapped above; mappings are monotone
             .expect("ensure_mapped leaves the address translated")
     }
 

@@ -686,7 +686,7 @@ mod tests {
         f.submit(Cycle::ZERO, msg(1, 0, 2));
         f.submit(Cycle::ZERO, msg(2, 1, 3));
         let d = run_until_idle(&mut f, Cycle::ZERO);
-        let by_id: std::collections::HashMap<u64, Cycle> =
+        let by_id: std::collections::BTreeMap<u64, Cycle> =
             d.iter().map(|d| (d.msg.id, d.at)).collect();
         assert_eq!(by_id[&1], Cycle::new(1));
         assert_eq!(by_id[&2], Cycle::new(2));
@@ -936,7 +936,7 @@ mod tests {
             for (i, &(src, dst, at)) in sends.iter().enumerate() {
                 f.submit(Cycle::new(at), msg(i as u64, src, dst));
             }
-            let mut delivered = std::collections::HashSet::new();
+            let mut delivered = std::collections::BTreeSet::new();
             let mut cycle = Cycle::ZERO;
             for _ in 0..100_000 {
                 match f.next_activity() {

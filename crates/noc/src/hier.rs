@@ -221,11 +221,13 @@ impl Interconnect for XbarNoc {
 }
 
 /// One cluster's intra fabric.
-// The size skew is real (BusNoc carries fault state the crossbar skips)
-// but boxing would put an allocation and a pointer chase on every
-// per-cluster advance; a HierNoc holds cores/cluster_size of these, so
-// the footprint stays small either way.
-#[allow(clippy::large_enum_variant)]
+// The size skew is real: BusNoc carries fault state the crossbar skips.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "boxing would put an allocation and a pointer chase on every per-cluster \
+              advance; a HierNoc holds cores/cluster_size of these, so the footprint \
+              stays small either way"
+)]
 #[derive(Debug)]
 enum Intra {
     Bus(BusNoc),

@@ -638,7 +638,7 @@ mod tests {
             for (i, &(src, dst, at)) in sends.iter().enumerate() {
                 noc.submit(Cycle::new(at), msg(i as u64, src, dst));
             }
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut cycle = Cycle::ZERO;
             for _ in 0..100_000 {
                 match noc.next_activity() {

@@ -372,9 +372,11 @@ impl MetricsRegistry {
 }
 
 /// A frozen metric value.
-// Histogram inlines its 65 buckets; boxing it would cost `Copy` and an
-// allocation per snapshot entry for a cold, snapshot-only type.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Histogram inlines its 65 buckets; boxing it would cost `Copy` and an \
+              allocation per snapshot entry for a cold, snapshot-only type"
+)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
     /// Monotone event count.

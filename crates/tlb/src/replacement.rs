@@ -48,21 +48,27 @@ impl ReplacementState {
     pub(crate) fn victim(&mut self, stamps: &[(u64, u64)]) -> usize {
         debug_assert!(!stamps.is_empty());
         match self.policy {
+            #[expect(
+                clippy::expect_used,
+                reason = "stamps is non-empty, a caller invariant (debug_assert above)"
+            )]
             ReplacementPolicy::Lru => {
                 stamps
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, (_, used))| *used)
-                    // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
                     .expect("nonempty set")
                     .0
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "stamps is non-empty, a caller invariant (debug_assert above)"
+            )]
             ReplacementPolicy::Fifo => {
                 stamps
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, (inserted, _))| *inserted)
-                    // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
                     .expect("nonempty set")
                     .0
             }

@@ -15,6 +15,11 @@
 //!    produces a typed [`SimError`] with a populated diagnostic snapshot
 //!    and a partial report — never a panic or an infinite loop.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions may panic on setup failure"
+)]
+
 use nocstar::prelude::*;
 
 const CORES: usize = 8;
@@ -437,7 +442,6 @@ mod property {
     /// Assembles a random-but-valid fault spec: `mask` decides which of
     /// the five fault classes is present; windows sit inside the first
     /// ~60k cycles of the run.
-    #[allow(clippy::too_many_arguments)]
     fn build_spec(
         seed: u64,
         mask: u8,

@@ -6,6 +6,11 @@
 //! enabling metrics or tracing never changes simulated time. These tests
 //! pin all three properties for every L2 organization.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions may panic on setup failure"
+)]
+
 use nocstar::prelude::*;
 
 const CORES: usize = 8;

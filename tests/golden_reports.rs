@@ -14,6 +14,11 @@
 //! and review the resulting `tests/golden/*.json` diff like any other
 //! code change.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions may panic on setup failure"
+)]
+
 use nocstar::prelude::*;
 use std::path::PathBuf;
 

@@ -14,6 +14,11 @@
 //! * **Report contract** (`SAMPLING.md §4`): exact-mode reports carry no
 //!   `sampling` key, so exact goldens stay byte-identical.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions may panic on setup failure"
+)]
+
 use nocstar::prelude::*;
 use std::collections::BTreeMap;
 

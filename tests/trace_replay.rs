@@ -15,6 +15,11 @@
 //! Bless intentional format or timing changes with
 //! `UPDATE_GOLDEN=1 cargo test --test trace_replay` and review the diff.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions may panic on setup failure"
+)]
+
 use nocstar::prelude::*;
 use nocstar::types::VirtPageNum;
 use nocstar::workloads::nct::{self, NctFile, NctHeader, ThreadStream};

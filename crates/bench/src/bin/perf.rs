@@ -104,6 +104,10 @@ fn main() {
     let warmup = flag_u64(&args, "--warmup", 500);
     let measure = flag_nonzero(&args, "--measure", 2000);
     let reps = flag_u64(&args, "--reps", 3).max(1);
+    if let Err(problem) = SystemConfig::new(cores, org).check() {
+        eprintln!("error: {problem}");
+        std::process::exit(2);
+    }
 
     let mut best_ms = f64::INFINITY;
     let mut cycles = 0u64;

@@ -1,7 +1,8 @@
 //! Hostile command-line input to the single-run binaries: a zero core
-//! count or a zero measured-access count must be rejected with an
-//! `error:` line and exit code 2, like any other bad flag value, and
-//! never reach the simulator's internal assertions.
+//! count, a zero measured-access count or a configuration the simulator
+//! cannot build must be rejected with an `error:` line and exit code 2,
+//! like any other bad flag value, and never reach the simulator's
+//! internal assertions.
 
 use std::process::Command;
 
@@ -51,4 +52,14 @@ fn perf_rejects_zero_cores_and_zero_measure() {
     assert_usage_error(perf, &["--cores", "0"]);
     assert_usage_error(perf, &["--measure", "0"]);
     assert_usage_error(perf, &["--warmup", "abc"]);
+}
+
+#[test]
+fn perf_rejects_cluster_sizes_that_do_not_partition_the_cores() {
+    let perf = env!("CARGO_BIN_EXE_perf");
+    assert_usage_error(perf, &["--org", "hier", "--cluster-size", "0"]);
+    assert_usage_error(
+        perf,
+        &["--org", "hier", "--cluster-size", "3", "--cores", "16"],
+    );
 }

@@ -298,62 +298,83 @@ impl SystemConfig {
             .collect()
     }
 
-    /// Checks internal consistency.
+    /// Checks internal consistency, panicking on the first problem
+    /// [`check`](Self::check) reports.
     ///
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero cores/SMT, bad scales) or
     /// a `parallel_domains` other than 1.
     pub fn validate(&self) {
-        assert!(self.cores > 0, "need at least one core");
-        assert!(self.smt > 0, "need at least one thread per core");
-        assert!(
-            self.l1_scale.is_finite() && self.l1_scale > 0.0,
-            "bad L1 scale"
-        );
-        assert!(self.livelock_window > 0, "livelock window must be nonzero");
-        assert_eq!(
-            self.parallel_domains, 1,
-            "the simulator runs one sequential driver"
-        );
-        match self.org {
-            TlbOrg::Private { entries, .. } => {
-                assert!(
-                    entries > 0 && entries % TlbOrg::WAYS == 0,
-                    "bad private size"
-                )
+        if let Err(problem) = self.check() {
+            panic!("{problem}");
+        }
+    }
+
+    /// Checks internal consistency; the error says what is wrong. Command
+    /// lines build configurations from user input and call this before
+    /// [`validate`](Self::validate) can panic.
+    ///
+    /// # Errors
+    ///
+    /// Degenerate configurations: zero cores or SMT, a bad L1 scale, a
+    /// zero livelock window, a `parallel_domains` other than 1, or TLB
+    /// organization sizes that do not divide evenly.
+    pub fn check(&self) -> Result<(), String> {
+        let require = |ok: bool, problem: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(problem.to_string())
             }
+        };
+        require(self.cores > 0, "need at least one core")?;
+        require(self.smt > 0, "need at least one thread per core")?;
+        require(
+            self.l1_scale.is_finite() && self.l1_scale > 0.0,
+            "bad L1 scale",
+        )?;
+        require(self.livelock_window > 0, "livelock window must be nonzero")?;
+        require(
+            self.parallel_domains == 1,
+            "the simulator runs one sequential driver",
+        )?;
+        match self.org {
+            TlbOrg::Private { entries, .. } => require(
+                entries > 0 && entries % TlbOrg::WAYS == 0,
+                "bad private size",
+            ),
             TlbOrg::Monolithic {
                 entries_per_core,
                 banks,
                 ..
             } => {
-                assert!(entries_per_core > 0, "bad monolithic size");
-                assert!(
+                require(entries_per_core > 0, "bad monolithic size")?;
+                require(
                     banks > 0 && banks <= self.cores,
-                    "banks must be in 1..=cores"
-                );
-                assert!(
+                    "banks must be in 1..=cores",
+                )?;
+                require(
                     (entries_per_core * self.cores).is_multiple_of(banks * TlbOrg::WAYS),
-                    "banked capacity must divide evenly"
-                );
+                    "banked capacity must divide evenly",
+                )
             }
             TlbOrg::Distributed { slice_entries } | TlbOrg::IdealShared { slice_entries } => {
-                assert!(
+                require(
                     slice_entries > 0 && slice_entries % TlbOrg::WAYS == 0,
-                    "bad slice size"
-                );
+                    "bad slice size",
+                )
             }
             TlbOrg::Nocstar {
                 slice_entries,
                 hpc_max,
                 ..
             } => {
-                assert!(
+                require(
                     slice_entries > 0 && slice_entries % TlbOrg::WAYS == 0,
-                    "bad slice size"
-                );
-                assert!(hpc_max > 0, "HPCmax must be nonzero");
+                    "bad slice size",
+                )?;
+                require(hpc_max > 0, "HPCmax must be nonzero")
             }
             TlbOrg::Hier {
                 slice_entries,
@@ -361,18 +382,19 @@ impl SystemConfig {
                 inter,
                 ..
             } => {
-                assert!(
+                require(
                     slice_entries > 0 && slice_entries % TlbOrg::WAYS == 0,
-                    "bad slice size"
-                );
-                assert!(
+                    "bad slice size",
+                )?;
+                require(
                     cluster_size > 0
                         && cluster_size <= self.cores
                         && self.cores.is_multiple_of(cluster_size),
-                    "cluster size must evenly partition the cores"
-                );
-                if let InterKind::Smart(hpc) = inter {
-                    assert!(hpc > 0, "HPCmax must be nonzero");
+                    "cluster size must evenly partition the cores",
+                )?;
+                match inter {
+                    InterKind::Smart(hpc) => require(hpc > 0, "HPCmax must be nonzero"),
+                    InterKind::Mesh => Ok(()),
                 }
             }
         }
@@ -465,6 +487,22 @@ mod tests {
                 SystemConfig::new(cores, org).validate();
             }
         }
+    }
+
+    #[test]
+    fn check_reports_what_validate_panics_on() {
+        let ragged = SystemConfig::new(16, TlbOrg::paper_hier(3));
+        assert_eq!(
+            ragged.check(),
+            Err("cluster size must evenly partition the cores".into())
+        );
+        assert!(SystemConfig::new(16, TlbOrg::paper_hier(0))
+            .check()
+            .is_err());
+        assert_eq!(
+            SystemConfig::new(16, TlbOrg::paper_hier(16)).check(),
+            Ok(())
+        );
     }
 
     #[test]

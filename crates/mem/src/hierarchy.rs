@@ -221,7 +221,7 @@ impl MemorySystem {
     /// Functional translation with no timing or cache effects; `None` if
     /// unmapped.
     pub fn translate(&self, asid: Asid, va: VirtAddr) -> Option<(VirtPageNum, PhysPageNum)> {
-        self.tables.get(&asid)?.walk(va).mapping
+        self.tables.get(&asid)?.translate(va)
     }
 
     /// The functional fast-forward translation entry point

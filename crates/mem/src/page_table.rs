@@ -10,37 +10,123 @@
 //! (1 GiB). [`PageTable::promote`] and [`PageTable::demote`] convert
 //! between 4 KiB and 2 MiB mappings, as the transparent-huge-page storm
 //! microbenchmark (paper §V) does continuously.
+//!
+//! A node is stored as the hardware stores it: a dense array of 512 PTE
+//! words. A word packs a present bit, a leaf bit and a payload — the
+//! child's node index for a table pointer, the frame number for a leaf.
 
 use crate::phys::PhysMemory;
 use nocstar_types::{PageSize, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
-use std::collections::BTreeMap;
+use std::ops::Deref;
 
 const FANOUT_BITS: u32 = 9;
+const FANOUT: usize = 1 << FANOUT_BITS;
 const FANOUT_MASK: u64 = (1 << FANOUT_BITS) - 1;
 const PTE_BYTES: u64 = 8;
 /// Levels of the radix tree (PML4, PDPT, PD, PT).
 pub const LEVELS: usize = 4;
 
+/// PTE word bit: the entry is valid.
+const PRESENT: u64 = 1;
+/// PTE word bit: the entry maps a frame (else it points to a table).
+const LEAF: u64 = 2;
+/// The payload sits above the two flag bits.
+const PAYLOAD_SHIFT: u32 = 2;
+/// The root (PML4) node's index.
+const ROOT: usize = 0;
+
+/// One node: 512 packed PTE words; `0` is a hole.
+type Node = [u64; FANOUT];
+
+/// A decoded PTE word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
+    Hole,
     /// Pointer to a lower-level table node.
     Table(usize),
-    /// Terminal mapping to a physical frame (page size implied by depth).
-    Leaf(PhysPageNum),
+    /// Terminal mapping to a frame number (page size implied by depth).
+    Leaf(u64),
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    frame: PhysPageNum,
-    entries: BTreeMap<u16, Slot>,
+impl Slot {
+    #[inline]
+    fn decode(pte: u64) -> Self {
+        let payload = pte >> PAYLOAD_SHIFT;
+        match pte & (PRESENT | LEAF) {
+            0 => Slot::Hole,
+            PRESENT => Slot::Table(payload as usize),
+            _ => Slot::Leaf(payload),
+        }
+    }
+
+    fn table(child: usize) -> u64 {
+        (child as u64) << PAYLOAD_SHIFT | PRESENT
+    }
+
+    fn leaf(frame: PhysPageNum) -> u64 {
+        frame.number() << PAYLOAD_SHIFT | LEAF | PRESENT
+    }
 }
+
+/// Up to [`LEVELS`] values, one per radix level a walk read, stored
+/// inline. Dereferences to the slice of the levels read.
+#[derive(Debug, Clone, Copy)]
+pub struct PerLevel<T> {
+    items: [T; LEVELS],
+    len: u8,
+}
+
+impl<T: Copy> PerLevel<T> {
+    /// An empty list whose unused slots hold `fill`.
+    pub(crate) fn empty(fill: T) -> Self {
+        Self {
+            items: [fill; LEVELS],
+            len: 0,
+        }
+    }
+
+    /// Appends the next level's value.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`LEVELS`] values.
+    pub(crate) fn push(&mut self, value: T) {
+        self.items[usize::from(self.len)] = value;
+        self.len += 1;
+    }
+}
+
+impl<T> Deref for PerLevel<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a PerLevel<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for PerLevel<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for PerLevel<T> {}
 
 /// The outcome of walking one virtual address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkOutcome {
     /// Physical addresses of the PTEs read, in walk order. Populated even
     /// for failed walks (the walker reads until it finds a hole).
-    pub pte_addrs: Vec<PhysAddr>,
+    pub pte_addrs: PerLevel<PhysAddr>,
     /// The translation found, if the address is mapped.
     pub mapping: Option<(VirtPageNum, PhysPageNum)>,
 }
@@ -61,36 +147,41 @@ pub struct WalkOutcome {
 /// let walk = pt.walk(VirtAddr::new(0x20_1234));
 /// assert_eq!(walk.pte_addrs.len(), 3); // superpage leaf at the PD level
 /// assert_eq!(walk.mapping.unwrap().0, vpn);
+/// assert_eq!(pt.translate(VirtAddr::new(0x20_1234)), walk.mapping);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
+    /// Node `n`'s PTE words.
     nodes: Vec<Node>,
-    root: usize,
+    /// Node `n`'s frame in simulated physical memory.
+    frames: Vec<PhysPageNum>,
     mapped_pages: u64,
 }
 
 impl PageTable {
     /// Creates an empty table, allocating its root node.
     pub fn new(phys: &mut PhysMemory) -> Self {
-        let root_frame = phys.alloc(PageSize::Size4K);
-        Self {
-            nodes: vec![Node {
-                frame: root_frame,
-                entries: BTreeMap::new(),
-            }],
-            root: 0,
+        let mut table = Self {
+            nodes: Vec::new(),
+            frames: Vec::new(),
             mapped_pages: 0,
-        }
+        };
+        table.push_node(phys.alloc(PageSize::Size4K), [0; FANOUT]);
+        table
     }
 
-    /// The radix index at each level for a virtual address.
-    fn indices(va: VirtAddr) -> [u16; LEVELS] {
-        let mut idx = [0u16; LEVELS];
-        for (level, slot) in idx.iter_mut().enumerate() {
-            let shift = 12 + FANOUT_BITS * (LEVELS - 1 - level) as u32;
-            *slot = ((va.value() >> shift) & FANOUT_MASK) as u16;
-        }
-        idx
+    /// Appends a node backed by `frame`; returns its index.
+    fn push_node(&mut self, frame: PhysPageNum, ptes: Node) -> usize {
+        self.nodes.push(ptes);
+        self.frames.push(frame);
+        self.nodes.len() - 1
+    }
+
+    /// The radix index of `va` at `level` (0 is the PML4).
+    #[inline]
+    fn index(va: VirtAddr, level: usize) -> usize {
+        let shift = 12 + FANOUT_BITS * (LEVELS - 1 - level) as u32;
+        ((va.value() >> shift) & FANOUT_MASK) as usize
     }
 
     /// The depth (0-based level index) at which a leaf of `size` lives.
@@ -98,40 +189,58 @@ impl PageTable {
         size.walk_levels() - 1
     }
 
-    fn pte_addr(&self, node: usize, index: u16) -> PhysAddr {
-        self.nodes[node]
-            .frame
-            .base()
-            .offset(u64::from(index) * PTE_BYTES)
+    /// The page size of a leaf at `depth`.
+    #[inline]
+    fn leaf_size(depth: usize) -> PageSize {
+        match depth {
+            1 => PageSize::Size1G,
+            2 => PageSize::Size2M,
+            3 => PageSize::Size4K,
+            _ => unreachable!("no leaves at the PML4 level"),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, node: usize, index: usize) -> Slot {
+        Slot::decode(self.nodes[node][index])
+    }
+
+    fn pte_addr(&self, node: usize, index: usize) -> PhysAddr {
+        self.frames[node].base().offset(index as u64 * PTE_BYTES)
     }
 
     /// Walks `va`, recording the PTE reads a hardware walker would issue.
     pub fn walk(&self, va: VirtAddr) -> WalkOutcome {
-        let idx = Self::indices(va);
-        let mut pte_addrs = Vec::with_capacity(LEVELS);
-        let mut node = self.root;
-        for (depth, &i) in idx.iter().enumerate() {
-            pte_addrs.push(self.pte_addr(node, i));
-            match self.nodes[node].entries.get(&i) {
-                Some(Slot::Table(child)) => node = *child,
-                Some(Slot::Leaf(ppn)) => {
-                    let size = match depth {
-                        1 => PageSize::Size1G,
-                        2 => PageSize::Size2M,
-                        3 => PageSize::Size4K,
-                        _ => unreachable!("no leaves at the PML4 level"),
-                    };
-                    return WalkOutcome {
-                        pte_addrs,
-                        mapping: Some((va.page_number(size), *ppn)),
-                    };
+        let mut pte_addrs = PerLevel::empty(PhysAddr::default());
+        let mapping = self.resolve(va, |node, i| pte_addrs.push(self.pte_addr(node, i)));
+        WalkOutcome { pte_addrs, mapping }
+    }
+
+    /// The translation [`walk`](Self::walk) finds, without computing the
+    /// PTE addresses; `None` if `va` is unmapped.
+    pub fn translate(&self, va: VirtAddr) -> Option<(VirtPageNum, PhysPageNum)> {
+        self.resolve(va, |_, _| {})
+    }
+
+    /// Follows `va` down the tree, calling `read(node, index)` for each
+    /// PTE read, until it reaches a leaf or a hole.
+    #[inline]
+    fn resolve(
+        &self,
+        va: VirtAddr,
+        mut read: impl FnMut(usize, usize),
+    ) -> Option<(VirtPageNum, PhysPageNum)> {
+        let mut node = ROOT;
+        for depth in 0..LEVELS {
+            let i = Self::index(va, depth);
+            read(node, i);
+            match self.slot(node, i) {
+                Slot::Table(child) => node = child,
+                Slot::Leaf(frame) => {
+                    let size = Self::leaf_size(depth);
+                    return Some((va.page_number(size), PhysPageNum::new(frame, size)));
                 }
-                None => {
-                    return WalkOutcome {
-                        pte_addrs,
-                        mapping: None,
-                    }
-                }
+                Slot::Hole => return None,
             }
         }
         unreachable!("PT-level entries are always leaves")
@@ -149,36 +258,31 @@ impl PageTable {
     pub fn map(&mut self, vpn: VirtPageNum, phys: &mut PhysMemory) -> PhysPageNum {
         let size = vpn.page_size();
         let depth = Self::leaf_depth(size);
-        let idx = Self::indices(vpn.base());
-        let mut node = self.root;
-        for &i in idx.iter().take(depth) {
-            node = match self.nodes[node].entries.get(&i) {
-                Some(Slot::Table(child)) => *child,
-                Some(Slot::Leaf(_)) => {
+        let va = vpn.base();
+        let mut node = ROOT;
+        for level in 0..depth {
+            let i = Self::index(va, level);
+            node = match self.slot(node, i) {
+                Slot::Table(child) => child,
+                Slot::Leaf(_) => {
                     panic!("mapping {vpn} conflicts with an existing superpage leaf")
                 }
-                None => {
-                    let frame = phys.alloc(PageSize::Size4K);
-                    let child = self.nodes.len();
-                    self.nodes.push(Node {
-                        frame,
-                        entries: BTreeMap::new(),
-                    });
-                    self.nodes[node].entries.insert(i, Slot::Table(child));
+                Slot::Hole => {
+                    let child = self.push_node(phys.alloc(PageSize::Size4K), [0; FANOUT]);
+                    self.nodes[node][i] = Slot::table(child);
                     child
                 }
             };
         }
-        match self.nodes[node].entries.get(&idx[depth]) {
-            Some(Slot::Leaf(existing)) => *existing,
-            Some(Slot::Table(_)) => {
+        let i = Self::index(va, depth);
+        match self.slot(node, i) {
+            Slot::Leaf(existing) => PhysPageNum::new(existing, size),
+            Slot::Table(_) => {
                 panic!("mapping {vpn} conflicts with finer-grained existing mappings")
             }
-            None => {
+            Slot::Hole => {
                 let frame = phys.alloc(size);
-                self.nodes[node]
-                    .entries
-                    .insert(idx[depth], Slot::Leaf(frame));
+                self.nodes[node][i] = Slot::leaf(frame);
                 self.mapped_pages += 1;
                 frame
             }
@@ -191,7 +295,7 @@ impl PageTable {
     pub fn remap(&mut self, vpn: VirtPageNum, phys: &mut PhysMemory) -> Option<PhysPageNum> {
         let (node, index) = self.leaf_slot(vpn)?;
         let frame = phys.alloc(vpn.page_size());
-        self.nodes[node].entries.insert(index, Slot::Leaf(frame));
+        self.nodes[node][index] = Slot::leaf(frame);
         Some(frame)
     }
 
@@ -199,7 +303,7 @@ impl PageTable {
     pub fn unmap(&mut self, vpn: VirtPageNum) -> bool {
         match self.leaf_slot(vpn) {
             Some((node, index)) => {
-                self.nodes[node].entries.remove(&index);
+                self.nodes[node][index] = 0;
                 self.mapped_pages -= 1;
                 true
             }
@@ -207,18 +311,26 @@ impl PageTable {
         }
     }
 
-    fn leaf_slot(&self, vpn: VirtPageNum) -> Option<(usize, u16)> {
-        let depth = Self::leaf_depth(vpn.page_size());
-        let idx = Self::indices(vpn.base());
-        let mut node = self.root;
-        for &i in idx.iter().take(depth) {
-            match self.nodes[node].entries.get(&i) {
-                Some(Slot::Table(child)) => node = *child,
+    /// The table node at `depth` on `va`'s path, if every pointer above
+    /// it is present.
+    fn node_at(&self, va: VirtAddr, depth: usize) -> Option<usize> {
+        let mut node = ROOT;
+        for level in 0..depth {
+            match self.slot(node, Self::index(va, level)) {
+                Slot::Table(child) => node = child,
                 _ => return None,
             }
         }
-        match self.nodes[node].entries.get(&idx[depth]) {
-            Some(Slot::Leaf(_)) => Some((node, idx[depth])),
+        Some(node)
+    }
+
+    fn leaf_slot(&self, vpn: VirtPageNum) -> Option<(usize, usize)> {
+        let depth = Self::leaf_depth(vpn.page_size());
+        let va = vpn.base();
+        let node = self.node_at(va, depth)?;
+        let index = Self::index(va, depth);
+        match self.slot(node, index) {
+            Slot::Leaf(_) => Some((node, index)),
             _ => None,
         }
     }
@@ -237,28 +349,20 @@ impl PageTable {
             PageSize::Size2M,
             "promote takes a 2M page"
         );
-        let idx = Self::indices(vpn_2m.base());
-        let mut node = self.root;
-        for &i in idx.iter().take(2) {
-            match self.nodes[node].entries.get(&i) {
-                Some(Slot::Table(child)) => node = *child,
-                _ => return None,
-            }
-        }
-        let pd_index = idx[2];
-        let pt_node = match self.nodes[node].entries.get(&pd_index) {
-            Some(Slot::Table(pt)) => *pt,
-            _ => return None,
+        let va = vpn_2m.base();
+        let node = self.node_at(va, 2)?;
+        let pd_index = Self::index(va, 2);
+        let Slot::Table(pt_node) = self.slot(node, pd_index) else {
+            return None;
         };
         let base_4k = vpn_2m.to_base_pages();
-        let stale: Vec<VirtPageNum> = self.nodes[pt_node]
-            .entries
-            .keys()
-            .map(|&i| VirtPageNum::new(base_4k + u64::from(i), PageSize::Size4K))
+        let stale: Vec<VirtPageNum> = (0..FANOUT)
+            .filter(|&i| self.nodes[pt_node][i] != 0)
+            .map(|i| VirtPageNum::new(base_4k + i as u64, PageSize::Size4K))
             .collect();
         self.mapped_pages -= stale.len() as u64;
         let frame = phys.alloc(PageSize::Size2M);
-        self.nodes[node].entries.insert(pd_index, Slot::Leaf(frame));
+        self.nodes[node][pd_index] = Slot::leaf(frame);
         self.mapped_pages += 1;
         // The PT node's frame leaks in simulated memory, exactly like an OS
         // that defers freeing page-table pages; the simulator never reuses it.
@@ -276,24 +380,12 @@ impl PageTable {
         );
         let (node, index) = self.leaf_slot(vpn_2m)?;
         let pt_frame = phys.alloc(PageSize::Size4K);
-        let pt_node = self.nodes.len();
-        let base_frame = phys.alloc(PageSize::Size2M); // 512 contiguous 4K frames
-        let entries: BTreeMap<u16, Slot> = (0..512u16)
-            .map(|i| {
-                (
-                    i,
-                    Slot::Leaf(PhysPageNum::new(
-                        base_frame.to_base_pages() + u64::from(i),
-                        PageSize::Size4K,
-                    )),
-                )
-            })
-            .collect();
-        self.nodes.push(Node {
-            frame: pt_frame,
-            entries,
+        let base_frame = phys.alloc(PageSize::Size2M).to_base_pages(); // 512 contiguous 4K frames
+        let ptes: Node = std::array::from_fn(|i| {
+            Slot::leaf(PhysPageNum::new(base_frame + i as u64, PageSize::Size4K))
         });
-        self.nodes[node].entries.insert(index, Slot::Table(pt_node));
+        let pt_node = self.push_node(pt_frame, ptes);
+        self.nodes[node][index] = Slot::table(pt_node);
         self.mapped_pages += 511; // -1 superpage, +512 base pages
         Some(vpn_2m)
     }

@@ -9,6 +9,7 @@
 //! cache traversal.
 
 use crate::hierarchy::{MemorySystem, ServicedBy};
+use crate::page_table::PerLevel;
 use nocstar_types::time::{Cycle, Cycles};
 use nocstar_types::{Asid, CoreId, PhysPageNum, VirtAddr, VirtPageNum};
 
@@ -34,7 +35,7 @@ pub struct WalkResult {
     /// Total walk latency.
     pub latency: Cycles,
     /// Which level serviced each PTE read (empty for fixed-latency walks).
-    pub pte_reads: Vec<ServicedBy>,
+    pub pte_reads: PerLevel<ServicedBy>,
 }
 
 impl WalkResult {
@@ -138,11 +139,11 @@ impl MemorySystem {
                 vpn,
                 ppn,
                 latency,
-                pte_reads: Vec::new(),
+                pte_reads: PerLevel::empty(ServicedBy::Pwc),
             },
             WalkLatency::Variable => {
                 let mut latency = Cycles::ZERO;
-                let mut pte_reads = Vec::with_capacity(outcome.pte_addrs.len());
+                let mut pte_reads = PerLevel::empty(ServicedBy::Pwc);
                 let leaf = outcome.pte_addrs.len() - 1;
                 for (level, pa) in outcome.pte_addrs.iter().enumerate() {
                     // Upper-level PTEs are served by the per-core paging-
@@ -237,8 +238,8 @@ mod tests {
         let warm = mem.walk(CoreId::new(0), asid, va);
         // Upper levels hit the PWC (1 cycle each); the leaf PTE hits L1.
         assert_eq!(
-            warm.pte_reads,
-            vec![
+            *warm.pte_reads,
+            [
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
@@ -351,8 +352,8 @@ mod tests {
         // prior real walk would have left: PWC upper levels, L1 leaf.
         let warm = mem.walk(CoreId::new(0), asid, va);
         assert_eq!(
-            warm.pte_reads,
-            vec![
+            *warm.pte_reads,
+            [
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,

@@ -10,6 +10,10 @@ use std::fmt;
 
 /// One cached virtual-to-physical translation.
 ///
+/// Packed into 24 bytes: the two frame numbers, the ASID, one page size
+/// for both numbers and the global bit. The accessors rebuild the typed
+/// page numbers.
+///
 /// # Examples
 ///
 /// ```
@@ -27,9 +31,13 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TlbEntry {
+    /// Virtual frame index, counted in `size` pages.
+    vpn: u64,
+    /// Physical frame index, counted in `size` pages.
+    ppn: u64,
     asid: Asid,
-    vpn: VirtPageNum,
-    ppn: PhysPageNum,
+    /// The one page size both numbers share.
+    size: PageSize,
     global: bool,
 }
 
@@ -40,16 +48,16 @@ impl TlbEntry {
     ///
     /// Panics if the virtual and physical page sizes differ — a translation
     /// always maps same-sized pages.
-    pub fn new(asid: Asid, vpn: VirtPageNum, ppn: PhysPageNum) -> Self {
-        assert_eq!(
-            vpn.page_size(),
-            ppn.page_size(),
+    pub const fn new(asid: Asid, vpn: VirtPageNum, ppn: PhysPageNum) -> Self {
+        assert!(
+            vpn.page_size() as u8 == ppn.page_size() as u8,
             "translation must map equal page sizes"
         );
         Self {
+            vpn: vpn.number(),
+            ppn: ppn.number(),
             asid,
-            vpn,
-            ppn,
+            size: vpn.page_size(),
             global: false,
         }
     }
@@ -69,17 +77,17 @@ impl TlbEntry {
 
     /// The virtual page tag.
     pub fn vpn(self) -> VirtPageNum {
-        self.vpn
+        VirtPageNum::new(self.vpn, self.size)
     }
 
     /// The translated physical frame.
     pub fn ppn(self) -> PhysPageNum {
-        self.ppn
+        PhysPageNum::new(self.ppn, self.size)
     }
 
     /// The page size of the mapping.
     pub fn page_size(self) -> PageSize {
-        self.vpn.page_size()
+        self.size
     }
 
     /// Whether this is a global (all-ASID) mapping.
@@ -89,8 +97,11 @@ impl TlbEntry {
 
     /// True when this entry translates `vpn` in address space `asid`
     /// (global entries match any ASID).
+    #[inline]
     pub fn matches(self, asid: Asid, vpn: VirtPageNum) -> bool {
-        self.vpn == vpn && (self.global || self.asid == asid)
+        self.vpn == vpn.number()
+            && self.size == vpn.page_size()
+            && (self.global || self.asid == asid)
     }
 
     /// Translates a virtual address through this entry.
@@ -101,12 +112,12 @@ impl TlbEntry {
     /// virtual page.
     pub fn translate(self, va: VirtAddr) -> nocstar_types::PhysAddr {
         debug_assert_eq!(
-            va.page_number(self.page_size()),
-            self.vpn,
+            va.page_number(self.size),
+            self.vpn(),
             "address {va} is not in page {}",
-            self.vpn
+            self.vpn()
         );
-        self.ppn.base().offset(va.page_offset(self.page_size()))
+        self.ppn().base().offset(va.page_offset(self.size))
     }
 }
 
@@ -116,8 +127,8 @@ impl fmt::Display for TlbEntry {
             f,
             "{} {}->{}{}",
             self.asid,
-            self.vpn,
-            self.ppn,
+            self.vpn(),
+            self.ppn(),
             if self.global { " (global)" } else { "" }
         )
     }
@@ -133,6 +144,20 @@ mod tests {
             VirtPageNum::new(vpn, PageSize::Size4K),
             PhysPageNum::new(ppn, PageSize::Size4K),
         )
+    }
+
+    #[test]
+    fn entry_packs_into_24_bytes() {
+        assert_eq!(std::mem::size_of::<TlbEntry>(), 24);
+    }
+
+    #[test]
+    fn accessors_rebuild_the_typed_page_numbers() {
+        let vpn = VirtPageNum::new(0x10, PageSize::Size2M);
+        let ppn = PhysPageNum::new(0x99, PageSize::Size2M);
+        let e = TlbEntry::new(Asid::new(3), vpn, ppn);
+        assert_eq!((e.asid(), e.vpn(), e.ppn()), (Asid::new(3), vpn, ppn));
+        assert!(!e.is_global());
     }
 
     #[test]

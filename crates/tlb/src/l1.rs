@@ -121,14 +121,6 @@ impl L1Tlb {
         Self::new(L1Config::haswell())
     }
 
-    fn array_for(&self, size: PageSize) -> &SetAssocTlb {
-        match size {
-            PageSize::Size4K => &self.t4k,
-            PageSize::Size2M => &self.t2m,
-            PageSize::Size1G => &self.t1g,
-        }
-    }
-
     fn array_for_mut(&mut self, size: PageSize) -> &mut SetAssocTlb {
         match size {
             PageSize::Size4K => &mut self.t4k,
@@ -140,16 +132,13 @@ impl L1Tlb {
     /// Translates a virtual address, probing the superpage arrays first.
     /// Exactly one array records an access per call, so miss rates reflect
     /// whole-L1 behaviour: a miss is recorded against the 4 KiB array (the
-    /// last one probed), a hit against the array that provided it.
+    /// last one probed), a hit against the array that provided it. Each
+    /// array is scanned once, finding and promoting in the same pass.
     pub fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<TlbEntry> {
-        for size in [PageSize::Size1G, PageSize::Size2M] {
-            let vpn = va.page_number(size);
-            if self.array_for(size).probe(asid, vpn).is_some() {
-                // Refresh recency + record the hit in the owning array.
-                return self.array_for_mut(size).lookup(asid, vpn);
-            }
-        }
-        self.t4k.lookup(asid, va.page_number(PageSize::Size4K))
+        self.t1g
+            .lookup_hit(asid, va.page_number(PageSize::Size1G))
+            .or_else(|| self.t2m.lookup_hit(asid, va.page_number(PageSize::Size2M)))
+            .or_else(|| self.t4k.lookup(asid, va.page_number(PageSize::Size4K)))
     }
 
     /// Functional fast-forward lookup (`SAMPLING.md §2`): probes the
@@ -157,13 +146,10 @@ impl L1Tlb {
     /// updates recency in the owning array, but records no hit/miss
     /// statistics in any array.
     pub fn touch(&mut self, asid: Asid, va: VirtAddr) -> Option<TlbEntry> {
-        for size in [PageSize::Size1G, PageSize::Size2M] {
-            let vpn = va.page_number(size);
-            if self.array_for(size).probe(asid, vpn).is_some() {
-                return self.array_for_mut(size).touch(asid, vpn);
-            }
-        }
-        self.t4k.touch(asid, va.page_number(PageSize::Size4K))
+        self.t1g
+            .touch(asid, va.page_number(PageSize::Size1G))
+            .or_else(|| self.t2m.touch(asid, va.page_number(PageSize::Size2M)))
+            .or_else(|| self.t4k.touch(asid, va.page_number(PageSize::Size4K)))
     }
 
     /// Inserts a translation into the array of its page size, returning the
@@ -268,10 +254,12 @@ mod tests {
         let mut l1 = L1Tlb::haswell();
         let asid = Asid::new(1);
         l1.insert(entry(1, 9, PageSize::Size4K));
+        l1.insert(entry(1, 5, PageSize::Size2M));
         l1.lookup(asid, VirtAddr::new(0x9000)); // hit
         l1.lookup(asid, VirtAddr::new(0x1_0000)); // miss
-        assert_eq!(l1.stats().accesses(), 2);
-        assert_eq!(l1.stats().hits(), 1);
+        l1.lookup(asid, VirtAddr::new(5 * 0x20_0000 + 7)); // superpage hit
+        assert_eq!(l1.stats().accesses(), 3);
+        assert_eq!(l1.stats().hits(), 2);
     }
 
     #[test]

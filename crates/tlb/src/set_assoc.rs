@@ -8,18 +8,33 @@
 //! size, so same-frame-index pages of different sizes never alias.
 
 use crate::entry::TlbEntry;
-use crate::replacement::{ReplacementPolicy, ReplacementState};
+use crate::replacement::{ReplacementPolicy, VictimRng};
 use nocstar_stats::counter::HitMiss;
-use nocstar_types::{Asid, VirtPageNum};
+use nocstar_types::{Asid, PageSize, PhysPageNum, VirtPageNum};
 
-#[derive(Debug, Clone)]
-struct Way {
-    entry: TlbEntry,
-    inserted: u64,
-    used: u64,
-}
+/// The filler of ways past a set's length; never read as an entry.
+const EMPTY: TlbEntry = TlbEntry::new(
+    Asid::KERNEL,
+    VirtPageNum::new(0, PageSize::Size4K),
+    PhysPageNum::new(0, PageSize::Size4K),
+);
 
 /// A set-associative array of [`TlbEntry`]s.
+///
+/// All sets live in one flat array of `sets × ways` entries; set `s`
+/// holds its valid entries in the first `lens[s]` of its ways. Under LRU
+/// and FIFO a set is kept in move-to-front order, newest first, so the
+/// victim of a full set is always its last way:
+///
+/// * LRU moves an entry to the front on every hit and every insert, which
+///   orders a set exactly as per-entry last-use stamps would;
+/// * FIFO moves an entry to the front only when it is inserted, which
+///   orders a set as insertion stamps would.
+///
+/// [`ReplacementPolicy::Random`] keeps every entry in the way it was
+/// filled into (appended on a fill, compacted in order on an
+/// invalidation), so its victim draw picks the same way index as a
+/// per-set vector would.
 ///
 /// # Examples
 ///
@@ -38,9 +53,13 @@ struct Way {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<Way>>,
+    /// `sets × ways` entries; set `s` starts at `s * ways`.
+    entries: Vec<TlbEntry>,
+    /// Valid entries per set, at the front of the set's ways.
+    lens: Vec<u32>,
     ways: usize,
-    state: ReplacementState,
+    policy: ReplacementPolicy,
+    rng: VictimRng,
     stats: HitMiss,
     index_divisor: u64,
 }
@@ -61,11 +80,12 @@ impl SetAssocTlb {
             0,
             "ways ({ways}) must divide total entries ({entries})"
         );
-        let num_sets = entries / ways;
         Self {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            entries: vec![EMPTY; entries],
+            lens: vec![0; entries / ways],
             ways,
-            state: ReplacementState::new(policy),
+            policy,
+            rng: VictimRng::new(),
             stats: HitMiss::new(),
             index_divisor: 1,
         }
@@ -88,7 +108,7 @@ impl SetAssocTlb {
 
     /// Total entry capacity.
     pub fn entries(&self) -> usize {
-        self.sets.len() * self.ways
+        self.entries.len()
     }
 
     /// Associativity.
@@ -98,37 +118,51 @@ impl SetAssocTlb {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// The replacement policy in use.
     pub fn policy(&self) -> ReplacementPolicy {
-        self.state.policy()
+        self.policy
     }
 
     #[inline]
     fn set_index(&self, vpn: VirtPageNum) -> usize {
-        ((vpn.number() / self.index_divisor) % self.sets.len() as u64) as usize
+        ((vpn.number() / self.index_divisor) % self.lens.len() as u64) as usize
     }
 
-    /// Looks up a translation, updating recency and hit/miss statistics.
-    pub fn lookup(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
+    /// The set `vpn` maps to and the index of its first way.
+    #[inline]
+    fn locate(&self, vpn: VirtPageNum) -> (usize, usize) {
         let set = self.set_index(vpn);
-        let stamp = self.state.tick();
-        let found = self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(asid, vpn));
-        match found {
-            Some(way) => {
-                way.used = stamp;
-                self.stats.hit();
-                Some(way.entry)
-            }
-            None => {
-                self.stats.miss();
-                None
-            }
+        (set, set * self.ways)
+    }
+
+    /// The valid entries of the set starting at way `base`.
+    #[inline]
+    fn valid(&self, set: usize, base: usize) -> &[TlbEntry] {
+        &self.entries[base..base + self.lens[set] as usize]
+    }
+
+    /// Looks up a translation, updating recency and hit/miss statistics:
+    /// [`touch`](Self::touch) plus one recorded hit or miss.
+    pub fn lookup(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
+        let found = self.lookup_hit(asid, vpn);
+        if found.is_none() {
+            self.stats.miss();
         }
+        found
+    }
+
+    /// [`touch`](Self::touch) that records a hit when it finds the entry
+    /// and nothing when it does not: one probe of a multi-array lookup
+    /// that records its single access against the array that answers.
+    pub(crate) fn lookup_hit(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
+        let found = self.touch(asid, vpn);
+        if found.is_some() {
+            self.stats.hit();
+        }
+        found
     }
 
     /// Looks up a translation, updating recency but recording **no**
@@ -136,115 +170,129 @@ impl SetAssocTlb {
     /// (`SAMPLING.md §2`): contents and LRU order stay warm while
     /// measurement statistics stay untouched.
     pub fn touch(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
-        let set = self.set_index(vpn);
-        let stamp = self.state.tick();
-        self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(asid, vpn))
-            .map(|way| {
-                way.used = stamp;
-                way.entry
-            })
+        let (set, base) = self.locate(vpn);
+        let p = self
+            .valid(set, base)
+            .iter()
+            .position(|e| e.matches(asid, vpn))?;
+        let entry = self.entries[base + p];
+        if self.policy == ReplacementPolicy::Lru {
+            self.entries[base..=base + p].rotate_right(1);
+        }
+        Some(entry)
     }
 
     /// Looks up a translation without touching recency or statistics
     /// (used by snooping and verification paths).
     pub fn probe(&self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
-        let set = self.set_index(vpn);
-        self.sets[set]
+        let (set, base) = self.locate(vpn);
+        self.valid(set, base)
             .iter()
-            .find(|w| w.entry.matches(asid, vpn))
-            .map(|w| w.entry)
+            .find(|e| e.matches(asid, vpn))
+            .copied()
     }
 
     /// Inserts a translation, returning the evicted entry if the set was
     /// full. Re-inserting an existing (asid, vpn) pair refreshes it in
     /// place and returns `None`.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        let set = self.set_index(entry.vpn());
-        let stamp = self.state.tick();
-        if let Some(way) = self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(entry.asid(), entry.vpn()))
-        {
-            way.entry = entry;
-            way.used = stamp;
-            return None;
-        }
-        if self.sets[set].len() < self.ways {
-            self.sets[set].push(Way {
-                entry,
-                inserted: stamp,
-                used: stamp,
-            });
-            return None;
-        }
-        let stamps: Vec<(u64, u64)> = self.sets[set]
+        let (set, base) = self.locate(entry.vpn());
+        let len = self.lens[set] as usize;
+        let ways = &mut self.entries[base..base + self.ways];
+        if let Some(p) = ways[..len]
             .iter()
-            .map(|w| (w.inserted, w.used))
-            .collect();
-        let victim = self.state.victim(&stamps);
-        let evicted = std::mem::replace(
-            &mut self.sets[set][victim],
-            Way {
-                entry,
-                inserted: stamp,
-                used: stamp,
-            },
-        );
-        Some(evicted.entry)
+            .position(|e| e.matches(entry.asid(), entry.vpn()))
+        {
+            // A refresh is a use, not an insertion: only LRU reorders.
+            ways[p] = entry;
+            if self.policy == ReplacementPolicy::Lru {
+                ways[..=p].rotate_right(1);
+            }
+            return None;
+        }
+        if self.policy == ReplacementPolicy::Random {
+            if len < ways.len() {
+                ways[len] = entry;
+                self.lens[set] += 1;
+                return None;
+            }
+            let victim = self.rng.way(ways.len());
+            return Some(std::mem::replace(&mut ways[victim], entry));
+        }
+        // Newest first: the last way falls off a full set.
+        let evicted = if len < ways.len() {
+            self.lens[set] += 1;
+            None
+        } else {
+            Some(ways[len - 1])
+        };
+        let filled = self.lens[set] as usize;
+        ways[..filled].rotate_right(1);
+        ways[0] = entry;
+        evicted
+    }
+
+    /// Drops the valid entries of `set` that `keep` rejects, keeping the
+    /// rest in order; returns how many were dropped.
+    fn retain_in(&mut self, set: usize, mut keep: impl FnMut(TlbEntry) -> bool) -> usize {
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        let mut kept = 0;
+        for i in base..base + len {
+            let e = self.entries[i];
+            if keep(e) {
+                self.entries[base + kept] = e;
+                kept += 1;
+            }
+        }
+        self.lens[set] = kept as u32;
+        len - kept
+    }
+
+    /// Drops the entries every set's `keep` rejects; returns the count.
+    fn retain(&mut self, mut keep: impl FnMut(TlbEntry) -> bool) -> usize {
+        (0..self.lens.len())
+            .map(|set| self.retain_in(set, &mut keep))
+            .sum()
     }
 
     /// Invalidates one translation; returns whether it was present.
     pub fn invalidate(&mut self, asid: Asid, vpn: VirtPageNum) -> bool {
         let set = self.set_index(vpn);
-        let before = self.sets[set].len();
-        self.sets[set].retain(|w| !w.entry.matches(asid, vpn));
-        self.sets[set].len() != before
+        self.retain_in(set, |e| !e.matches(asid, vpn)) > 0
     }
 
     /// Invalidates all non-global translations of an address space;
     /// returns how many were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|w| w.entry.is_global() || w.entry.asid() != asid);
-            dropped += before - set.len();
-        }
-        dropped
+        self.retain(|e| e.is_global() || e.asid() != asid)
     }
 
     /// Flushes all non-global translations (an x86 CR3 write); returns how
     /// many were dropped.
     pub fn flush_non_global(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|w| w.entry.is_global());
-            dropped += before - set.len();
-        }
-        dropped
+        self.retain(TlbEntry::is_global)
     }
 
     /// Flushes everything, including global translations.
     pub fn flush_all(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            dropped += set.len();
-            set.clear();
-        }
+        let dropped = self.occupancy();
+        self.lens.fill(0);
         dropped
     }
 
     /// Number of valid entries currently cached.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
-    /// Iterates over all currently valid entries (set order).
+    /// Iterates over all currently valid entries: set by set, and within a
+    /// set newest first (LRU, FIFO) or in fill order (Random).
     pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
-        self.sets.iter().flatten().map(|w| &w.entry)
+        self.entries
+            .chunks_exact(self.ways)
+            .zip(&self.lens)
+            .flat_map(|(ways, &len)| &ways[..len as usize])
     }
 
     /// Hit/miss statistics accumulated by [`lookup`](Self::lookup).

@@ -195,18 +195,18 @@ impl TlbSlice {
     }
 
     /// Looks up a virtual address, probing superpage sizes before 4 KiB —
-    /// the slice does not know the backing page size in advance.
+    /// the slice does not know the backing page size in advance. One
+    /// access is recorded: a hit for the size that answers, else a miss.
     pub fn lookup_addr(&mut self, asid: Asid, va: VirtAddr) -> Option<TlbEntry> {
         use nocstar_types::PageSize;
         if self.offline {
             return None;
         }
-        for size in [PageSize::Size1G, PageSize::Size2M] {
-            if self.array.probe(asid, va.page_number(size)).is_some() {
-                return self.array.lookup(asid, va.page_number(size));
-            }
-        }
-        self.array.lookup(asid, va.page_number(PageSize::Size4K))
+        let array = &mut self.array;
+        array
+            .lookup_hit(asid, va.page_number(PageSize::Size1G))
+            .or_else(|| array.lookup_hit(asid, va.page_number(PageSize::Size2M)))
+            .or_else(|| array.lookup(asid, va.page_number(PageSize::Size4K)))
     }
 
     /// Functional insert; returns the evicted entry if any. Dropped (no
@@ -329,6 +329,9 @@ mod tests {
             .unwrap();
         assert_eq!(hit.page_size(), PageSize::Size2M);
         assert!(s.lookup_addr(asid, VirtAddr::new(0x9999_0000)).is_none());
+        // One access per call: the superpage hit and the 4 KiB miss.
+        assert_eq!(s.array().stats().accesses(), 2);
+        assert_eq!(s.array().stats().hits(), 1);
     }
 
     #[test]

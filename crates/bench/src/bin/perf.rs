@@ -104,7 +104,11 @@ fn main() {
     let warmup = flag_u64(&args, "--warmup", 500);
     let measure = flag_nonzero(&args, "--measure", 2000);
     let reps = flag_u64(&args, "--reps", 3).max(1);
-    if let Err(problem) = SystemConfig::new(cores, org).check() {
+    let config = SystemConfig::new(cores, org);
+    if let Err(problem) = config
+        .check()
+        .and_then(|()| config.check_quota(warmup, measure))
+    {
         eprintln!("error: {problem}");
         std::process::exit(2);
     }

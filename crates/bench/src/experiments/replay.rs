@@ -84,6 +84,11 @@ pub fn run(effort: Effort) {
         accesses: parse_nonzero(&args, "--measure").unwrap_or(effort.accesses),
         ..effort
     };
+    if let Err(problem) = SystemConfig::new(cores, org).check_quota(effort.warmup, effort.accesses)
+    {
+        eprintln!("error: {problem}");
+        std::process::exit(2);
+    }
 
     let report = effort.run(cores, org, preset);
 

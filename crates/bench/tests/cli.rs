@@ -1,6 +1,6 @@
 //! Hostile command-line input to the single-run binaries: a zero core
-//! count, a zero measured-access count or a configuration the simulator
-//! cannot build must be rejected with an `error:` line and exit code 2,
+//! count, a zero measured-access count, an access quota whose totals
+//! overflow or a configuration the simulator cannot build must be rejected with an `error:` line and exit code 2,
 //! like any other bad flag value, and never reach the simulator's
 //! internal assertions.
 
@@ -62,4 +62,23 @@ fn perf_rejects_cluster_sizes_that_do_not_partition_the_cores() {
         perf,
         &["--org", "hier", "--cluster-size", "3", "--cores", "16"],
     );
+}
+
+#[test]
+fn perf_and_replay_reject_quotas_that_overflow() {
+    let max = u64::MAX.to_string();
+    let half = (u64::MAX / 2).to_string();
+    for binary in [env!("CARGO_BIN_EXE_perf"), env!("CARGO_BIN_EXE_replay")] {
+        // warmup + measure accesses per thread overflows.
+        assert_usage_error(
+            binary,
+            &["--cores", "4", "--warmup", &max, "--measure", "1"],
+        );
+        assert_usage_error(binary, &["--cores", "4", "--measure", &max]);
+        // measure times the four threads overflows.
+        assert_usage_error(
+            binary,
+            &["--cores", "4", "--warmup", "0", "--measure", &half],
+        );
+    }
 }

@@ -311,6 +311,35 @@ impl SystemConfig {
         }
     }
 
+    /// Checks a run quota of `warmup` then `measure` accesses per hardware
+    /// thread: the measured quota must be nonzero, and both the per-thread
+    /// total and the measured total over all threads must fit a `u64`.
+    /// Command lines call this before [`Simulation::run_measured`] can
+    /// panic on the quota.
+    ///
+    /// [`Simulation::run_measured`]: crate::sim::Simulation::run_measured
+    ///
+    /// # Errors
+    ///
+    /// A zero `measure`, or a quota whose totals overflow.
+    pub fn check_quota(&self, warmup: u64, measure: u64) -> Result<(), String> {
+        if measure == 0 {
+            return Err("need a nonzero measured quota".into());
+        }
+        if warmup.checked_add(measure).is_none() {
+            return Err(format!(
+                "warmup {warmup} plus measure {measure} accesses per thread overflows"
+            ));
+        }
+        if (self.threads() as u64).checked_mul(measure).is_none() {
+            return Err(format!(
+                "measure {measure} accesses on each of {} threads overflows",
+                self.threads()
+            ));
+        }
+        Ok(())
+    }
+
     /// Checks internal consistency; the error says what is wrong. Command
     /// lines build configurations from user input and call this before
     /// [`validate`](Self::validate) can panic.
@@ -503,6 +532,16 @@ mod tests {
             SystemConfig::new(16, TlbOrg::paper_hier(16)).check(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn check_quota_rejects_zero_and_overflowing_quotas() {
+        let config = SystemConfig::new(4, TlbOrg::paper_nocstar());
+        assert_eq!(config.check_quota(u64::MAX - 1, 1), Ok(()));
+        assert_eq!(config.check_quota(0, u64::MAX / 4), Ok(()));
+        assert!(config.check_quota(0, 0).is_err());
+        assert!(config.check_quota(u64::MAX, 1).is_err());
+        assert!(config.check_quota(0, u64::MAX / 4 + 1).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use nocstar_types::time::{Cycle, Cycles};
 use nocstar_types::{Asid, CoreId, MeshShape, PageSize, VirtAddr, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent, TraceSource};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Cycles a thread loses to a context-switch trap.
 const CTX_SWITCH_COST: Cycles = Cycles::new(200);
@@ -198,6 +198,101 @@ enum TxState {
     },
 }
 
+/// The in-flight transactions, by id.
+///
+/// Ids come from one counter, so the live ones span a short run from the
+/// oldest: `window[i]` is the slab slot of id `base + i`, or
+/// [`EMPTY`](Self::EMPTY) when that id is not live, and leading empty ids
+/// are dropped as they appear. The 120 B states live in a slab whose freed
+/// slots are reused, so memory is 4 B per spanned id plus one state per
+/// peak live transaction.
+#[derive(Debug, Default)]
+struct TxTable {
+    /// The id `window[0]` stands for.
+    base: u64,
+    window: VecDeque<u32>,
+    slab: Vec<TxState>,
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl TxTable {
+    /// A window entry for an id with no live transaction.
+    const EMPTY: u32 = u32::MAX;
+
+    /// The window position of `id`, if the window covers it.
+    fn offset(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?)
+            .ok()
+            .filter(|&i| i < self.window.len())
+    }
+
+    /// The slab slot of live transaction `id`.
+    fn slot(&self, id: u64) -> Option<usize> {
+        let slot = *self.window.get(self.offset(id)?)?;
+        (slot != Self::EMPTY).then_some(slot as usize)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, id: &u64) -> Option<&TxState> {
+        self.slab.get(self.slot(*id)?)
+    }
+
+    /// Stores `state` under `id`; returns the state it replaced.
+    fn insert(&mut self, id: u64, state: TxState) -> Option<TxState> {
+        if let Some(old) = self.slot(id).and_then(|s| self.slab.get_mut(s)) {
+            return Some(std::mem::replace(old, state));
+        }
+        if self.window.is_empty() {
+            self.base = id;
+        }
+        while id < self.base {
+            self.window.push_front(Self::EMPTY);
+            self.base -= 1;
+        }
+        let offset = (id - self.base) as usize;
+        if offset >= self.window.len() {
+            self.window.resize(offset + 1, Self::EMPTY);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                if let Some(free) = self.slab.get_mut(slot as usize) {
+                    *free = state;
+                }
+                slot
+            }
+            None => {
+                self.slab.push(state);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        if let Some(entry) = self.window.get_mut(offset) {
+            *entry = slot;
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Removes and returns transaction `id`.
+    fn remove(&mut self, id: &u64) -> Option<TxState> {
+        let entry = self.window.get_mut(self.offset(*id)?)?;
+        let slot = std::mem::replace(entry, Self::EMPTY);
+        if slot == Self::EMPTY {
+            return None;
+        }
+        self.free.push(slot);
+        self.len -= 1;
+        while self.window.front() == Some(&Self::EMPTY) {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        self.slab.get(slot as usize).copied()
+    }
+}
+
 /// An access waiting for its issue event, with the address space its
 /// trace source reported when the access was pulled.
 #[derive(Debug, Clone, Copy)]
@@ -241,7 +336,7 @@ pub struct Simulation {
     threads: Vec<ThreadState>,
     walker_free: Vec<Cycle>,
     events: EventQueue,
-    txs: BTreeMap<u64, TxState>,
+    txs: TxTable,
     next_tx: u64,
     now: Cycle,
     target: u64,
@@ -383,7 +478,7 @@ impl Simulation {
             ],
             walker_free: vec![Cycle::ZERO; config.cores],
             events: EventQueue::new(),
-            txs: BTreeMap::new(),
+            txs: TxTable::default(),
             next_tx: 0,
             now: Cycle::ZERO,
             target: 0,
@@ -472,7 +567,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// As [`run`](Self::run); additionally if `measure` is zero.
+    /// As [`run`](Self::run); additionally if `measure` is zero or the
+    /// quota overflows (see [`SystemConfig::check_quota`]).
     pub fn run_measured(self, warmup: u64, measure: u64) -> SimReport {
         match self.try_run_measured(warmup, measure) {
             Ok(report) => report,
@@ -501,17 +597,20 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `measure` is zero.
+    /// Panics if `measure` is zero, or if `warmup + measure` or `measure`
+    /// times the thread count overflows a `u64` (see
+    /// [`SystemConfig::check_quota`]).
     pub fn try_run_measured(
         mut self,
         warmup: u64,
         measure: u64,
     ) -> Result<SimReport, Box<SimAbort>> {
-        assert!(measure > 0, "need a nonzero measured quota");
-        let accesses_per_thread = warmup + measure;
+        if let Err(problem) = self.config.check_quota(warmup, measure) {
+            panic!("{problem}");
+        }
         self.warm_target = warmup;
         self.warm_crossed = if warmup == 0 { self.threads.len() } else { 0 };
-        self.target = accesses_per_thread;
+        self.target = warmup + measure;
         if let Err(error) = self.start_threads_and_event_loop() {
             let partial = self.finish();
             return Err(Box::new(SimAbort {
@@ -1948,6 +2047,7 @@ impl Simulation {
             org_label: self.config.org.label().to_string(),
             cores: self.config.cores,
             cycles: runtime.value(),
+            // `check_quota` rejected the quotas whose product overflows.
             accesses: self.threads.len() as u64 * (self.target - self.warm_target),
             per_thread_finish: durations,
             l1,
@@ -2560,5 +2660,79 @@ mod tests {
         let workload = WorkloadAssignment::homogeneous(&config, spec);
         let report = Simulation::new(config, workload).run(2000);
         assert!(report.shootdowns > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn overflowing_quota_panics_before_running() {
+        let config = SystemConfig::new(4, TlbOrg::paper_nocstar());
+        let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+        Simulation::new(config, workload).run_measured(u64::MAX, 1);
+    }
+
+    /// A distinguishable transaction state for table tests.
+    fn tx(n: u64) -> TxState {
+        TxState::Insert(TlbEntry::new(
+            Asid::new(1),
+            VirtPageNum::new(n, PageSize::Size4K),
+            nocstar_types::PhysPageNum::new(n, PageSize::Size4K),
+        ))
+    }
+
+    proptest::proptest! {
+        /// The id-indexed table agrees with an ordered map on every call,
+        /// for ids handed out in increasing order with gaps (ids that
+        /// never enter the table), updates in place, and removals in any
+        /// order, including of ids that are not live.
+        #[test]
+        fn prop_tx_table_matches_a_btree_map(
+            ops in proptest::collection::vec((0u8..4, 0u64..64), 1..400),
+        ) {
+            let mut table = TxTable::default();
+            let mut model: BTreeMap<u64, TxState> = BTreeMap::new();
+            let mut next = 0u64;
+            let dbg = |s: Option<TxState>| format!("{s:?}");
+            for (step, (op, pick)) in ops.into_iter().enumerate() {
+                let value = tx(step as u64);
+                match op {
+                    0 => {
+                        next += 1 + pick % 3;
+                        proptest::prop_assert_eq!(
+                            dbg(table.insert(next, value)),
+                            dbg(model.insert(next, value))
+                        );
+                    }
+                    1 => {
+                        let id = model.keys().copied().nth(pick as usize % model.len().max(1));
+                        let id = id.unwrap_or(pick);
+                        proptest::prop_assert_eq!(
+                            dbg(table.insert(id, value)),
+                            dbg(model.insert(id, value))
+                        );
+                    }
+                    2 => {
+                        let id = model.keys().copied().nth(pick as usize % model.len().max(1));
+                        let id = id.unwrap_or(pick);
+                        proptest::prop_assert_eq!(dbg(table.remove(&id)), dbg(model.remove(&id)));
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(dbg(table.remove(&pick)), dbg(model.remove(&pick)));
+                    }
+                }
+                proptest::prop_assert_eq!(table.len(), model.len());
+                for id in 0..=next + 1 {
+                    proptest::prop_assert_eq!(
+                        dbg(table.get(&id).copied()),
+                        dbg(model.get(&id).copied())
+                    );
+                }
+                // The window starts at the oldest live id.
+                if let Some(&oldest) = model.keys().next() {
+                    proptest::prop_assert_eq!(table.base, oldest);
+                } else {
+                    proptest::prop_assert!(table.window.is_empty());
+                }
+            }
+        }
     }
 }

@@ -63,20 +63,28 @@ impl CacheConfig {
     ///
     /// Panics on a geometry with no ways or no whole set.
     pub fn tags_fit(&self, phys_capacity: u64) -> bool {
+        self.max_tag(phys_capacity) <= u64::from(u32::MAX)
+    }
+
+    /// The largest tag a line of a `phys_capacity`-byte physical memory
+    /// gets (see [`Cache`]).
+    fn max_tag(&self, phys_capacity: u64) -> u64 {
         let sets = self.capacity / LINE_BYTES / self.ways as u64;
-        phys_capacity / LINE_BYTES / sets < u64::from(u32::MAX)
+        phys_capacity.saturating_sub(1) / LINE_BYTES / sets + 1
     }
 }
 
-/// One level of cache: per set, `ways` u32 tags in move-to-front order.
+/// One level of cache: per set, `ways` tags in move-to-front order.
 ///
 /// A line's tag is `line / num_sets + 1`, so `0` marks an invalid way.
 /// Each set keeps its valid tags most-recently-used first and its invalid
 /// ways last; a hit moves its tag to the front and a miss pushes the new
 /// tag on the front, dropping the last way (an invalid one, else the LRU
-/// line). That holds exactly the contents a per-line LRU stamp would, in
-/// 4 host bytes per line. The tag array starts as one zeroed allocation,
-/// which the OS backs lazily, so sets no access reaches cost no memory.
+/// line). That holds exactly the contents a per-line LRU stamp would. A
+/// tag takes 2 host bytes when every line of the physical memory gets a
+/// distinct u16 one (the LLC from 7 cores up), else 4 bytes. The tag
+/// array starts as one zeroed allocation, which the OS backs lazily, so
+/// sets no access reaches cost no memory.
 ///
 /// # Examples
 ///
@@ -84,7 +92,7 @@ impl CacheConfig {
 /// use nocstar_mem::cache::{Cache, CacheConfig};
 /// use nocstar_types::PhysAddr;
 ///
-/// let mut l1 = Cache::new(CacheConfig::haswell_l1d());
+/// let mut l1 = Cache::new(CacheConfig::haswell_l1d(), 1 << 30);
 /// let pa = PhysAddr::new(0x1000);
 /// assert!(!l1.access(pa)); // cold miss (fills the line)
 /// assert!(l1.access(pa));  // now hits
@@ -94,20 +102,27 @@ impl CacheConfig {
 pub struct Cache {
     config: CacheConfig,
     num_sets: u64,
-    /// Per set, `ways` tags, MRU first; `0` is an invalid way.
-    tags: Vec<u32>,
+    tags: Tags,
     stats: HitMiss,
 }
 
+/// Per set, `ways` tags, MRU first; `0` is an invalid way.
+#[derive(Debug, Clone)]
+enum Tags {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
 impl Cache {
-    /// Builds a cache level.
+    /// Builds a cache level for addresses below `phys_capacity`, which
+    /// picks the narrowest tag width that tells every line apart.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero ways, capacity smaller
     /// than one way of lines, or capacity not a multiple of `ways *
     /// LINE_BYTES`).
-    pub fn new(config: CacheConfig) -> Self {
+    pub fn new(config: CacheConfig, phys_capacity: u64) -> Self {
         assert!(config.ways > 0, "cache needs at least one way");
         let lines = config.capacity / LINE_BYTES;
         assert!(
@@ -115,10 +130,15 @@ impl Cache {
             "capacity must be a whole number of {}-way sets of {LINE_BYTES}B lines",
             config.ways
         );
+        let tags = if config.max_tag(phys_capacity) <= u64::from(u16::MAX) {
+            Tags::Narrow(vec![0; lines as usize])
+        } else {
+            Tags::Wide(vec![0; lines as usize])
+        };
         Self {
             config,
             num_sets: lines / config.ways as u64,
-            tags: vec![0; lines as usize],
+            tags,
             stats: HitMiss::new(),
         }
     }
@@ -146,24 +166,19 @@ impl Cache {
     /// (`SAMPLING.md §2`).
     pub fn touch(&mut self, pa: PhysAddr) -> bool {
         let (set, tag) = self.locate(pa);
-        let ways = &mut self.tags[set];
-        match ways.iter().position(|&t| t == tag) {
-            Some(p) => {
-                ways[..=p].rotate_right(1);
-                true
-            }
-            None => {
-                ways.rotate_right(1);
-                ways[0] = tag;
-                false
-            }
+        match &mut self.tags {
+            Tags::Narrow(tags) => move_to_front(tags, set, narrow(tag)),
+            Tags::Wide(tags) => move_to_front(tags, set, tag),
         }
     }
 
     /// Checks for presence without filling or updating recency.
     pub fn probe(&self, pa: PhysAddr) -> bool {
         let (set, tag) = self.locate(pa);
-        self.tags[set].contains(&tag)
+        match &self.tags {
+            Tags::Narrow(tags) => holds(tags, set, narrow(tag)),
+            Tags::Wide(tags) => holds(tags, set, tag),
+        }
     }
 
     /// The tag range of `pa`'s set and its tag.
@@ -186,8 +201,41 @@ impl Cache {
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
+        match &self.tags {
+            Tags::Narrow(tags) => tags.iter().filter(|&&t| t != 0).count(),
+            Tags::Wide(tags) => tags.iter().filter(|&&t| t != 0).count(),
+        }
     }
+}
+
+/// A u32 tag of a cache that chose u16 tags: it fits, because the address
+/// lies in the physical memory the width was chosen for.
+fn narrow(tag: u32) -> u16 {
+    debug_assert!(tag <= u32::from(u16::MAX), "tag {tag} beyond u16");
+    tag as u16
+}
+
+/// Looks `tag` up in the set `tags[set]`, MRU first: a hit moves it to the
+/// front, a miss pushes it on the front and drops the last way. Returns
+/// whether it hit.
+fn move_to_front<T: Copy + PartialEq>(tags: &mut [T], set: std::ops::Range<usize>, tag: T) -> bool {
+    let ways = &mut tags[set];
+    match ways.iter().position(|&t| t == tag) {
+        Some(p) => {
+            ways[..=p].rotate_right(1);
+            true
+        }
+        None => {
+            ways.rotate_right(1);
+            ways[0] = tag;
+            false
+        }
+    }
+}
+
+/// Whether the set `tags[set]` holds `tag`.
+fn holds<T: PartialEq>(tags: &[T], set: std::ops::Range<usize>, tag: T) -> bool {
+    tags[set].contains(&tag)
 }
 
 #[cfg(test)]
@@ -195,13 +243,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Physical memory of the test caches: 1 MiB, so they take u16 tags.
+    const PHYS: u64 = 1 << 20;
+
     fn tiny() -> Cache {
         // 8 lines, 2 ways => 4 sets.
-        Cache::new(CacheConfig {
-            capacity: 8 * LINE_BYTES,
-            ways: 2,
-            latency: Cycles::new(4),
-        })
+        Cache::new(
+            CacheConfig {
+                capacity: 8 * LINE_BYTES,
+                ways: 2,
+                latency: Cycles::new(4),
+            },
+            PHYS,
+        )
     }
 
     #[test]
@@ -272,27 +326,42 @@ mod tests {
     #[test]
     fn haswell_configs_have_paper_latencies() {
         assert_eq!(
-            Cache::new(CacheConfig::haswell_l1d()).latency(),
+            Cache::new(CacheConfig::haswell_l1d(), PHYS).latency(),
             Cycles::new(4)
         );
         assert_eq!(
-            Cache::new(CacheConfig::haswell_l2()).latency(),
+            Cache::new(CacheConfig::haswell_l2(), PHYS).latency(),
             Cycles::new(12)
         );
         assert_eq!(
-            Cache::new(CacheConfig::haswell_llc(32)).latency(),
+            Cache::new(CacheConfig::haswell_llc(32), PHYS).latency(),
             Cycles::new(50)
         );
     }
 
     #[test]
+    fn the_llc_takes_u16_tags_from_seven_cores_and_private_levels_u32() {
+        let phys = 64 << 30;
+        let narrow = |config| matches!(Cache::new(config, phys).tags, Tags::Narrow(_));
+        assert!(narrow(CacheConfig::haswell_llc(7)));
+        assert!(narrow(CacheConfig::haswell_llc(1024)));
+        assert!(!narrow(CacheConfig::haswell_llc(6)));
+        assert!(!narrow(CacheConfig::haswell_l1d()));
+        assert!(!narrow(CacheConfig::haswell_l2()));
+        assert_eq!(CacheConfig::haswell_llc(1024).max_tag(phys), 410);
+    }
+
+    #[test]
     #[should_panic(expected = "whole number")]
     fn ragged_geometry_rejected() {
-        let _ = Cache::new(CacheConfig {
-            capacity: 3 * LINE_BYTES,
-            ways: 2,
-            latency: Cycles::new(1),
-        });
+        let _ = Cache::new(
+            CacheConfig {
+                capacity: 3 * LINE_BYTES,
+                ways: 2,
+                latency: Cycles::new(1),
+            },
+            PHYS,
+        );
     }
 
     proptest! {
@@ -300,11 +369,14 @@ mod tests {
         /// always resident.
         #[test]
         fn prop_capacity_respected(addrs in prop::collection::vec(0u64..0x10_0000, 1..300)) {
-            let mut c = Cache::new(CacheConfig {
-                capacity: 64 * LINE_BYTES,
-                ways: 4,
-                latency: Cycles::new(1),
-            });
+            let mut c = Cache::new(
+                CacheConfig {
+                    capacity: 64 * LINE_BYTES,
+                    ways: 4,
+                    latency: Cycles::new(1),
+                },
+                PHYS,
+            );
             for &a in &addrs {
                 let pa = PhysAddr::new(a);
                 c.access(pa);
@@ -328,151 +400,6 @@ mod tests {
                 c.access(b);
             }
             prop_assert_eq!(c.stats().misses(), 0);
-        }
-    }
-
-    /// The stamp-based LRU this module used to implement: a u64 tag and a
-    /// u64 last-use stamp per way, with the victim chosen by a scan for an
-    /// invalid way, else the oldest stamp. The oracle for [`Cache`].
-    struct StampLru {
-        ways: usize,
-        num_sets: u64,
-        tags: Vec<u64>,
-        stamps: Vec<u64>,
-        clock: u64,
-        stats: HitMiss,
-    }
-
-    impl StampLru {
-        fn new(config: CacheConfig) -> Self {
-            let lines = (config.capacity / LINE_BYTES) as usize;
-            Self {
-                ways: config.ways,
-                num_sets: (lines / config.ways) as u64,
-                tags: vec![u64::MAX; lines],
-                stamps: vec![0; lines],
-                clock: 0,
-                stats: HitMiss::new(),
-            }
-        }
-
-        fn base(&self, line: u64) -> usize {
-            (line % self.num_sets) as usize * self.ways
-        }
-
-        fn touch(&mut self, pa: PhysAddr) -> bool {
-            let line = pa.value() / LINE_BYTES;
-            let base = self.base(line);
-            self.clock += 1;
-            if let Some(w) = (base..base + self.ways).find(|&w| self.tags[w] == line) {
-                self.stamps[w] = self.clock;
-                return true;
-            }
-            let victim = (base..base + self.ways)
-                .min_by_key(|&w| {
-                    if self.tags[w] == u64::MAX {
-                        0
-                    } else {
-                        self.stamps[w]
-                    }
-                })
-                .unwrap();
-            self.tags[victim] = line;
-            self.stamps[victim] = self.clock;
-            false
-        }
-
-        fn access(&mut self, pa: PhysAddr) -> bool {
-            let hit = self.touch(pa);
-            if hit {
-                self.stats.hit();
-            } else {
-                self.stats.miss();
-            }
-            hit
-        }
-
-        fn probe(&self, pa: PhysAddr) -> bool {
-            let line = pa.value() / LINE_BYTES;
-            let base = self.base(line);
-            self.tags[base..base + self.ways].contains(&line)
-        }
-
-        fn occupancy(&self) -> usize {
-            self.tags.iter().filter(|&&t| t != u64::MAX).count()
-        }
-    }
-
-    /// One operation of an oracle stream: 0 = access, 1 = touch, 2 = probe.
-    type Op = (u8, u64);
-
-    /// Replays `ops` on a `Cache` and on the stamp-based reference and
-    /// fails on the first disagreement.
-    fn agrees_with_stamp_lru(config: CacheConfig, ops: &[Op]) -> Result<(), TestCaseError> {
-        let mut cache = Cache::new(config);
-        let mut oracle = StampLru::new(config);
-        for (i, &(op, addr)) in ops.iter().enumerate() {
-            let pa = PhysAddr::new(addr);
-            let (got, want) = match op {
-                0 => (cache.access(pa), oracle.access(pa)),
-                1 => (cache.touch(pa), oracle.touch(pa)),
-                _ => (cache.probe(pa), oracle.probe(pa)),
-            };
-            prop_assert_eq!(got, want, "op {} ({:?}) on {:#x}", i, op, addr);
-            prop_assert_eq!(cache.occupancy(), oracle.occupancy(), "after op {}", i);
-            prop_assert_eq!(cache.stats(), oracle.stats, "after op {}", i);
-        }
-        Ok(())
-    }
-
-    fn geometry(ways: usize, sets: u64) -> CacheConfig {
-        CacheConfig {
-            capacity: sets * ways as u64 * LINE_BYTES,
-            ways,
-            latency: Cycles::new(1),
-        }
-    }
-
-    #[test]
-    fn rehitting_the_lru_way_of_a_full_set_matches_the_oracle() {
-        for ways in [1usize, 2, 4, 16] {
-            // One set: lines 0..ways fill it, line 0 is then the LRU way.
-            let line = |n: u64| n * LINE_BYTES;
-            let mut ops: Vec<Op> = (0..ways as u64).map(|n| (0, line(n))).collect();
-            ops.push((0, line(0))); // hit at the last position
-            ops.push((0, line(ways as u64))); // evicts line 1, not line 0
-            ops.extend((0..=ways as u64).map(|n| (2, line(n))));
-            agrees_with_stamp_lru(geometry(ways, 1), &ops).unwrap();
-
-            let mut c = Cache::new(geometry(ways, 1));
-            for &(_, a) in &ops[..ways + 2] {
-                c.access(PhysAddr::new(a));
-            }
-            // The re-hit saved line 0 wherever a second way could hold it.
-            assert_eq!(c.probe(PhysAddr::new(line(0))), ways > 1);
-            assert_eq!(c.probe(PhysAddr::new(line(1))), ways == 1);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Move-to-front u32 tags agree with stamp-based LRU on every
-        /// return value, on occupancy and on statistics.
-        #[test]
-        fn prop_matches_stamp_lru(
-            ways in prop::sample::select(vec![1usize, 2, 4, 16]),
-            sets in prop::sample::select(vec![1u64, 2, 4]),
-            ops in prop::collection::vec((0u8..3, 0u64..3 * 4 * 16, 0u64..LINE_BYTES), 1..400),
-        ) {
-            // At most three times as many distinct lines as the largest
-            // cache holds, so sets overflow and evict.
-            let span = 3 * sets * ways as u64;
-            let ops: Vec<Op> = ops
-                .iter()
-                .map(|&(op, line, offset)| (op, (line % span) * LINE_BYTES + offset))
-                .collect();
-            agrees_with_stamp_lru(geometry(ways, sets), &ops)?;
         }
     }
 }

@@ -125,22 +125,26 @@ impl MemorySystem {
     /// that level's u32 tags can tell apart.
     pub fn new(config: MemoryConfig) -> Self {
         assert!(config.cores > 0, "need at least one core");
-        let l1s = (0..config.cores).map(|_| Cache::new(config.l1d)).collect();
-        let l2s = (0..config.cores).map(|_| Cache::new(config.l2)).collect();
-        let llc = Cache::new(config.llc);
+        let phys = config.phys_capacity;
         for (level, geometry) in [("L1D", config.l1d), ("L2", config.l2), ("LLC", config.llc)] {
             assert!(
-                geometry.tags_fit(config.phys_capacity),
-                "{level} u32 tags cannot cover {} B of physical memory",
-                config.phys_capacity
+                geometry.tags_fit(phys),
+                "{level} u32 tags cannot cover {phys} B of physical memory"
             );
         }
+        let l1s = (0..config.cores)
+            .map(|_| Cache::new(config.l1d, phys))
+            .collect();
+        let l2s = (0..config.cores)
+            .map(|_| Cache::new(config.l2, phys))
+            .collect();
+        let llc = Cache::new(config.llc, phys);
         Self {
             config,
             l1s,
             l2s,
             llc,
-            phys: PhysMemory::new(config.phys_capacity),
+            phys: PhysMemory::new(phys),
             tables: BTreeMap::new(),
             pwcs: (0..config.cores)
                 .map(|_| PteCache::new(DEFAULT_PWC_ENTRIES))

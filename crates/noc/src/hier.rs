@@ -327,6 +327,9 @@ pub struct HierNoc {
     inter_kind: InterKind,
     /// Index-addressed per-cluster fabrics.
     intra: Vec<Intra>,
+    /// `due[k]` caches `intra[k].next_activity()`, refreshed whenever
+    /// cluster `k` is submitted to or advanced.
+    due: Vec<Option<Cycle>>,
     inter: Inter,
     routes: BTreeMap<u64, Route>,
     stats: NocStats,
@@ -347,7 +350,7 @@ impl HierNoc {
     pub fn new(cores: usize, cluster_size: usize, intra: IntraKind, inter: InterKind) -> Self {
         let map = ClusterMap::new(cores, cluster_size);
         let overlay_shape = MeshShape::square_for(map.clusters());
-        let intra = (0..map.clusters())
+        let intra: Vec<Intra> = (0..map.clusters())
             .map(|k| match intra {
                 IntraKind::Bus => Intra::Bus(BusNoc::new(overlay_shape)),
                 IntraKind::Xbar => Intra::Xbar(XbarNoc::new(map.base(k), cluster_size)),
@@ -361,6 +364,7 @@ impl HierNoc {
             map,
             overlay_shape,
             inter_kind: inter_kind_of(&inter),
+            due: vec![None; intra.len()],
             intra,
             inter,
             routes: BTreeMap::new(),
@@ -441,6 +445,14 @@ impl HierNoc {
         Cycles::new(leg1 + overlay + leg3)
     }
 
+    /// Submits one leg to cluster `k`'s fabric and refreshes its cached
+    /// next activity.
+    fn submit_intra(&mut self, k: usize, now: Cycle, msg: Message) {
+        let fabric = &mut self.intra[k];
+        fabric.as_dyn().submit(now, msg);
+        self.due[k] = fabric.next_activity();
+    }
+
     /// Routes one member-fabric delivery: forwards the next leg (true) or
     /// emits the final end-to-end delivery into `out` (false).
     fn step_route(&mut self, d: Delivery, out: &mut Vec<Delivery>) -> bool {
@@ -501,7 +513,8 @@ impl HierNoc {
                 );
                 self.stats.grants += 1;
                 let gw = self.gateway_at(cd, d.at);
-                self.intra[cd].as_dyn().submit(
+                self.submit_intra(
+                    cd,
                     d.at,
                     Message::new(route.msg.id, gw, route.msg.dst, route.msg.kind),
                 );
@@ -533,7 +546,7 @@ impl Interconnect for HierNoc {
                     floor,
                 },
             );
-            self.intra[cs].as_dyn().submit(now, msg);
+            self.submit_intra(cs, now, msg);
         } else {
             self.routes.insert(
                 msg.id,
@@ -547,9 +560,7 @@ impl Interconnect for HierNoc {
             // First leg: source tile to its gateway (a free local message
             // when the source *is* the gateway).
             let gw = self.gateway_at(cs, now);
-            self.intra[cs]
-                .as_dyn()
-                .submit(now, Message::new(msg.id, msg.src, gw, msg.kind));
+            self.submit_intra(cs, now, Message::new(msg.id, msg.src, gw, msg.kind));
         }
     }
 
@@ -562,8 +573,13 @@ impl Interconnect for HierNoc {
         // at most three legs, so this terminates quickly.
         loop {
             let mut legs: Vec<Delivery> = Vec::new();
-            for f in &mut self.intra {
-                legs.extend(f.as_dyn().advance(cycle));
+            // A bus or crossbar advanced before its next activity does
+            // nothing, so only the clusters due by `cycle` are visited.
+            for (f, due) in self.intra.iter_mut().zip(&mut self.due) {
+                if due.is_some_and(|at| at <= cycle) {
+                    legs.extend(f.as_dyn().advance(cycle));
+                    *due = f.next_activity();
+                }
             }
             legs.extend(self.inter.as_dyn().advance(cycle));
             let mut forwarded = false;
@@ -578,11 +594,13 @@ impl Interconnect for HierNoc {
     }
 
     fn next_activity(&self) -> Option<Cycle> {
-        self.intra
-            .iter()
-            .filter_map(Intra::next_activity)
-            .chain(self.inter.next_activity())
-            .min()
+        let intra = self.due.iter().flatten().min().copied();
+        debug_assert_eq!(
+            intra,
+            self.intra.iter().filter_map(Intra::next_activity).min(),
+            "cached per-cluster minima went stale"
+        );
+        intra.into_iter().chain(self.inter.next_activity()).min()
     }
 
     fn stats(&self) -> &NocStats {

@@ -1,7 +1,8 @@
 //! Equivalence oracles for the flat issue-path structures.
 //!
 //! `SetAssocTlb` keeps every set in one flat array in move-to-front order,
-//! and `PageTable` keeps every node as a dense array of packed PTE words.
+//! `PageTable` keeps every node as a dense array of packed PTE words, and
+//! `Cache` keeps every set's 2- or 4-byte tags in move-to-front order.
 //! Each is checked here against an independent model of the layout it
 //! replaced, which keeps the behaviour the simulator's reports were pinned
 //! with:
@@ -9,11 +10,13 @@
 //! * [`StampTlb`]: one `Vec` of ways per set, each way stamped with the
 //!   clock tick it was inserted and last used at, victims chosen by the
 //!   minimum stamp (LRU, FIFO) or the same xorshift64* stream (Random);
-//! * [`RefPageTable`]: radix nodes as `BTreeMap<u16, Slot>`.
+//! * [`RefPageTable`]: radix nodes as `BTreeMap<u16, Slot>`;
+//! * [`StampLru`]: a whole-line u64 tag and a last-use stamp per way.
 //!
 //! Random operation sequences drive the model and the real structure side
 //! by side, and every returned value must agree.
 
+use nocstar::mem::cache::{Cache, CacheConfig, LINE_BYTES};
 use nocstar::mem::page_table::PageTable;
 use nocstar::mem::phys::PhysMemory;
 use nocstar::tlb::{ReplacementPolicy, SetAssocTlb, TlbEntry};
@@ -531,5 +534,195 @@ proptest! {
         }
         // An address past every mapped region stops at a hole.
         check_pt_address(&pt, &model, VirtAddr::new(7 << 39))?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Data-cache model: whole-line tags with per-way LRU stamps.
+// ---------------------------------------------------------------------------
+
+/// The stamp-based LRU cache level the move-to-front tags replaced: per
+/// way a whole-line u64 tag and a last-use stamp, the victim chosen by a
+/// scan for an invalid way, else the oldest stamp.
+struct StampLru {
+    ways: usize,
+    num_sets: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl StampLru {
+    fn new(config: CacheConfig) -> Self {
+        let lines = (config.capacity / LINE_BYTES) as usize;
+        Self {
+            ways: config.ways,
+            num_sets: (lines / config.ways) as u64,
+            tags: vec![u64::MAX; lines],
+            stamps: vec![0; lines],
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&self, pa: PhysAddr) -> (std::ops::Range<usize>, u64) {
+        let line = pa.value() / LINE_BYTES;
+        let base = (line % self.num_sets) as usize * self.ways;
+        (base..base + self.ways, line)
+    }
+
+    fn touch(&mut self, pa: PhysAddr) -> bool {
+        let (set, line) = self.set(pa);
+        self.clock += 1;
+        if let Some(w) = set.clone().find(|&w| self.tags[w] == line) {
+            self.stamps[w] = self.clock;
+            return true;
+        }
+        // A set has at least one way, so the minimum exists.
+        let victim = set
+            .clone()
+            .min_by_key(|&w| {
+                if self.tags[w] == u64::MAX {
+                    0
+                } else {
+                    self.stamps[w]
+                }
+            })
+            .unwrap_or(set.start);
+        self.tags[victim] = line;
+        self.stamps[victim] = self.clock;
+        false
+    }
+
+    fn access(&mut self, pa: PhysAddr) -> bool {
+        let hit = self.touch(pa);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn probe(&self, pa: PhysAddr) -> bool {
+        let (set, line) = self.set(pa);
+        self.tags[set].contains(&line)
+    }
+
+    fn occupancy(&self) -> usize {
+        self.tags.iter().filter(|&&t| t != u64::MAX).count()
+    }
+}
+
+/// One operation of a cache oracle stream: 0 = access, 1 = touch,
+/// 2 = probe, on a physical address.
+type CacheOp = (u8, u64);
+
+/// Replays `ops` on a `Cache` built for `phys` bytes of physical memory,
+/// as `MemorySystem::new` builds its levels, and on the stamp model, and
+/// fails on the first disagreement.
+fn cache_agrees_with_stamp_lru(
+    config: CacheConfig,
+    phys: u64,
+    ops: &[CacheOp],
+) -> Result<(), TestCaseError> {
+    let mut cache = Cache::new(config, phys);
+    let mut model = StampLru::new(config);
+    for (i, &(op, addr)) in ops.iter().enumerate() {
+        prop_assert!(addr < phys, "op {} leaves physical memory", i);
+        let pa = PhysAddr::new(addr);
+        let (got, want) = match op {
+            0 => (cache.access(pa), model.access(pa)),
+            1 => (cache.touch(pa), model.touch(pa)),
+            _ => (cache.probe(pa), model.probe(pa)),
+        };
+        prop_assert_eq!(got, want, "op {} ({}) on {:#x}", i, op, addr);
+        prop_assert_eq!(cache.occupancy(), model.occupancy(), "after op {}", i);
+        prop_assert_eq!(cache.stats().hits(), model.hits, "after op {}", i);
+        prop_assert_eq!(cache.stats().misses(), model.misses, "after op {}", i);
+    }
+    Ok(())
+}
+
+fn cache_geometry(ways: usize, sets: u64) -> CacheConfig {
+    CacheConfig {
+        capacity: sets * ways as u64 * LINE_BYTES,
+        ways,
+        latency: nocstar::types::time::Cycles::new(1),
+    }
+}
+
+/// The physical memory whose top line gets tag `max_tag` in a cache of
+/// `sets` sets (a line's tag is `line / sets + 1`).
+fn phys_with_max_tag(sets: u64, max_tag: u64) -> u64 {
+    max_tag * sets * LINE_BYTES
+}
+
+#[test]
+fn rehitting_the_lru_way_of_a_full_set_matches_the_stamp_model() {
+    for ways in [1usize, 2, 4, 16] {
+        // One set: lines 0..ways fill it, line 0 is then the LRU way.
+        let line = |n: u64| n * LINE_BYTES;
+        let mut ops: Vec<CacheOp> = (0..ways as u64).map(|n| (0, line(n))).collect();
+        ops.push((0, line(0))); // hit at the last position
+        ops.push((0, line(ways as u64))); // evicts line 1, not line 0
+        ops.extend((0..=ways as u64).map(|n| (2, line(n))));
+        cache_agrees_with_stamp_lru(cache_geometry(ways, 1), 1 << 20, &ops).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Move-to-front tags of either width agree with stamp-based LRU on
+    /// every return value, on occupancy and on statistics. The physical
+    /// memory picks the width: 1 MiB gives u16 tags, 1 GiB over one set
+    /// needs u32.
+    #[test]
+    fn cache_matches_the_stamp_model(
+        ways in prop::sample::select(vec![1usize, 2, 4, 16]),
+        sets in prop::sample::select(vec![1u64, 2, 4]),
+        phys in prop::sample::select(vec![1u64 << 20, 1 << 30]),
+        ops in prop::collection::vec((0u8..3, 0u64..3 * 4 * 16, 0u64..LINE_BYTES), 1..400),
+    ) {
+        // At most three times as many distinct lines as the largest
+        // cache holds, so sets overflow and evict; a high bit spreads
+        // some of them to the top of physical memory.
+        let span = 3 * sets * ways as u64;
+        let ops: Vec<CacheOp> = ops
+            .iter()
+            .map(|&(op, line, offset)| {
+                let top = if line % 2 == 0 { phys / 2 } else { 0 };
+                (op, top + (line % span) * LINE_BYTES + offset)
+            })
+            .collect();
+        cache_agrees_with_stamp_lru(cache_geometry(ways, sets), phys, &ops)?;
+    }
+
+    /// Tags at the u16 boundary: a physical memory whose top tag is
+    /// exactly `u16::MAX` keeps u16 tags, one line more needs u32, and
+    /// either way the largest tags, tag 1 and everything between agree
+    /// with the model.
+    #[test]
+    fn cache_tags_at_the_u16_boundary_match_the_stamp_model(
+        ways in prop::sample::select(vec![1usize, 2, 4]),
+        sets in prop::sample::select(vec![1u64, 2, 3]),
+        past in 0u64..2,
+        ops in prop::collection::vec((0u8..3, 0u64..6, 0u64..3), 1..300),
+    ) {
+        let max_tag = u64::from(u16::MAX) + past;
+        let phys = phys_with_max_tag(sets, max_tag);
+        let tags = [1, 2, 3, max_tag - 2, max_tag - 1, max_tag];
+        let ops: Vec<CacheOp> = ops
+            .iter()
+            .map(|&(op, t, set)| {
+                let line = (tags[t as usize] - 1) * sets + set % sets;
+                (op, line * LINE_BYTES)
+            })
+            .collect();
+        cache_agrees_with_stamp_lru(cache_geometry(ways, sets), phys, &ops)?;
     }
 }

@@ -84,7 +84,10 @@ pub fn run(effort: Effort) {
         accesses: parse_nonzero(&args, "--measure").unwrap_or(effort.accesses),
         ..effort
     };
-    if let Err(problem) = SystemConfig::new(cores, org).check_quota(effort.warmup, effort.accesses)
+    let config = SystemConfig::new(cores, org);
+    if let Err(problem) = config
+        .check()
+        .and_then(|()| config.check_quota(effort.warmup, effort.accesses))
     {
         eprintln!("error: {problem}");
         std::process::exit(2);

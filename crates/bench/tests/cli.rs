@@ -1,8 +1,9 @@
-//! Hostile command-line input to the single-run binaries: a zero core
-//! count, a zero measured-access count, an access quota whose totals
-//! overflow or a configuration the simulator cannot build must be rejected with an `error:` line and exit code 2,
-//! like any other bad flag value, and never reach the simulator's
-//! internal assertions.
+//! Hostile command-line input to the single-run binaries: a zero or huge
+//! core count, a zero measured-access count, an access quota whose totals
+//! overflow or a configuration the simulator cannot build must be
+//! rejected with an `error:` line and exit code 2, like any other bad flag
+//! value, and never reach the simulator's internal assertions or
+//! allocations.
 
 use std::process::Command;
 
@@ -80,5 +81,15 @@ fn perf_and_replay_reject_quotas_that_overflow() {
             binary,
             &["--cores", "4", "--warmup", "0", "--measure", &half],
         );
+    }
+}
+
+#[test]
+fn perf_and_replay_reject_core_counts_past_the_trace_id_space() {
+    let max = u64::MAX.to_string();
+    for binary in [env!("CARGO_BIN_EXE_perf"), env!("CARGO_BIN_EXE_replay")] {
+        for cores in ["65537", "100000", &max] {
+            assert_usage_error(binary, &["--cores", cores, "--measure", "1"]);
+        }
     }
 }

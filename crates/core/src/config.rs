@@ -1,5 +1,6 @@
 //! Full-system configuration (paper §IV and Table II).
 
+use crate::sim::SLICE_COMPONENT_BASE;
 use nocstar_mem::walker::WalkLatency;
 use nocstar_noc::circuit::AcquireMode;
 use nocstar_noc::hier::{InterKind, IntraKind};
@@ -346,9 +347,10 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Degenerate configurations: zero cores or SMT, a bad L1 scale, a
-    /// zero livelock window, a `parallel_domains` other than 1, or TLB
-    /// organization sizes that do not divide evenly.
+    /// Degenerate configurations: zero cores or SMT, more cores than trace
+    /// component ids can tell from slices ([`SLICE_COMPONENT_BASE`]), a
+    /// bad L1 scale, a zero livelock window, a `parallel_domains` other
+    /// than 1, or TLB organization sizes that do not divide evenly.
     pub fn check(&self) -> Result<(), String> {
         let require = |ok: bool, problem: &str| {
             if ok {
@@ -358,6 +360,12 @@ impl SystemConfig {
             }
         };
         require(self.cores > 0, "need at least one core")?;
+        if self.cores > SLICE_COMPONENT_BASE as usize {
+            return Err(format!(
+                "{} cores exceed the limit of {SLICE_COMPONENT_BASE}",
+                self.cores
+            ));
+        }
         require(self.smt > 0, "need at least one thread per core")?;
         require(
             self.l1_scale.is_finite() && self.l1_scale > 0.0,
@@ -532,6 +540,17 @@ mod tests {
             SystemConfig::new(16, TlbOrg::paper_hier(16)).check(),
             Ok(())
         );
+        // Core trace ids must stay below the slices' id space.
+        let base = SLICE_COMPONENT_BASE as usize;
+        assert_eq!(
+            SystemConfig::new(base, TlbOrg::paper_nocstar()).check(),
+            Ok(())
+        );
+        for cores in [base + 1, usize::MAX] {
+            assert!(SystemConfig::new(cores, TlbOrg::paper_monolithic(cores))
+                .check()
+                .is_err());
+        }
     }
 
     #[test]

@@ -15,7 +15,20 @@ use std::fmt;
 use crate::sampling::SamplingReport;
 
 /// Everything measured by one simulation run.
+///
+/// Only the simulator builds one: the type is `#[non_exhaustive]`, so a
+/// struct literal outside this crate — even a functional update of an
+/// existing report — does not compile, and no harness code can put a
+/// value into a report that the run did not measure. Fields stay public
+/// to read.
+///
+/// ```compile_fail,E0639
+/// fn rewrite(r: nocstar_core::SimReport) -> nocstar_core::SimReport {
+///     nocstar_core::SimReport { cycles: 0, ..r }
+/// }
+/// ```
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct SimReport {
     /// Workload label.
     pub label: String,

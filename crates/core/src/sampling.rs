@@ -18,7 +18,7 @@ use nocstar_stats::latency::LatencyRecorder;
 
 /// Everything one measurement window measured, captured at leg end
 /// (`SAMPLING.md §1`, "Harvest").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WindowSample {
     /// Per-thread measured cycles (warmup crossing → finish).
     pub(crate) durations: Vec<u64>,

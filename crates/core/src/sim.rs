@@ -22,7 +22,6 @@ use nocstar_noc::hier::HierNoc;
 use nocstar_noc::mesh::MeshNoc;
 use nocstar_noc::message::{Delivery, Message, MsgKind};
 use nocstar_noc::smart::SmartNoc;
-use nocstar_noc::NocStats;
 use nocstar_stats::counter::{Counter, HitMiss};
 use nocstar_stats::histogram::ConcurrencyBins;
 use nocstar_stats::latency::LatencyRecorder;
@@ -888,9 +887,20 @@ impl Simulation {
     }
 
     /// Captures the window that just finished (`SAMPLING.md §1`,
-    /// "Harvest"): everything [`finish`] would measure for a whole exact
-    /// run, scoped to this window by the warmup-boundary statistics reset.
+    /// "Harvest").
     fn harvest_window(&mut self) {
+        let sample = self.window_sample();
+        if let Some(s) = &mut self.sampling {
+            for (total, d) in s.thread_measured.iter_mut().zip(&sample.durations) {
+                *total += d;
+            }
+            s.windows.push(sample);
+        }
+    }
+
+    /// Everything measured since the warmup-boundary statistics reset:
+    /// one sampled window, or the measured part of a whole exact run.
+    fn window_sample(&self) -> WindowSample {
         let durations: Vec<u64> = self
             .threads
             .iter()
@@ -906,7 +916,7 @@ impl Simulation {
         for tr in &self.org.trackers {
             slice_concurrency.merge(tr.bins());
         }
-        let sample = WindowSample {
+        WindowSample {
             durations,
             runtime,
             l1,
@@ -917,16 +927,20 @@ impl Simulation {
             shootdowns: self.shootdowns.get(),
             flushes: self.flushes.get(),
             translation_latency: self.translation_latency,
+            // The energy account compares *dynamic* address-translation
+            // energy (TLB lookups, interconnect messages, page-walk memory
+            // accesses), as in McPAT-style studies. Leakage is excluded:
+            // total TLB SRAM is area-normalized across organizations and
+            // the interconnect's static power is ~1/4 of the SRAM's
+            // (Fig 9), so static terms are nearly org-invariant and, at
+            // this simulator's footprint-scaled event counts, would only
+            // drown the walk-elimination effect the paper's Fig 14 (right)
+            // isolates. `EnergyAccount::add_static` remains available for
+            // whole-chip studies.
             energy: self.energy,
             chip_concurrency: self.org.chip_tracker.bins().clone(),
             slice_concurrency,
             network: self.net.stats().cloned(),
-        };
-        if let Some(s) = &mut self.sampling {
-            for (total, d) in s.thread_measured.iter_mut().zip(&sample.durations) {
-                *total += d;
-            }
-            s.windows.push(sample);
         }
     }
 
@@ -2014,60 +2028,14 @@ impl Simulation {
     }
 
     fn finish(mut self) -> SimReport {
-        if self.sampling.is_some() {
-            return self.finish_sampled();
+        if let Some(state) = self.sampling.take() {
+            return self.finish_sampled(state);
         }
-        let durations: Vec<u64> = self
-            .threads
-            .iter()
-            .zip(&self.warm_cross_time)
-            .map(|(th, &cross)| (th.finish_time - cross).value())
-            .collect();
-        let runtime = Cycles::new(durations.iter().copied().max().unwrap_or(0));
-        self.harvest_metrics(runtime.value());
-        // The energy account compares *dynamic* address-translation energy
-        // (TLB lookups, interconnect messages, page-walk memory accesses),
-        // as in McPAT-style studies. Leakage is excluded: total TLB SRAM is
-        // area-normalized across organizations and the interconnect's
-        // static power is ~1/4 of the SRAM's (Fig 9), so static terms are
-        // nearly org-invariant and, at this simulator's footprint-scaled
-        // event counts, would only drown the walk-elimination effect the
-        // paper's Fig 14 (right) isolates. `EnergyAccount::add_static`
-        // remains available for whole-chip studies.
-        let mut l1 = nocstar_stats::counter::HitMiss::new();
-        for l in &self.l1s {
-            l1.merge(l.stats());
-        }
-        let mut slice_concurrency = nocstar_stats::histogram::ConcurrencyBins::new();
-        for t in &self.org.trackers {
-            slice_concurrency.merge(t.bins());
-        }
-        SimReport {
-            label: self.label,
-            org_label: self.config.org.label().to_string(),
-            cores: self.config.cores,
-            cycles: runtime.value(),
-            // `check_quota` rejected the quotas whose product overflows.
-            accesses: self.threads.len() as u64 * (self.target - self.warm_target),
-            per_thread_finish: durations,
-            l1,
-            l2: self.org.merged_stats(),
-            per_structure: self.org.per_structure_stats(),
-            l2_occupancy: self.org.occupancy(),
-            walks: self.walks.get(),
-            walks_llc_or_mem: self.walks_llc_or_mem.get(),
-            shootdowns: self.shootdowns.get(),
-            flushes: self.flushes.get(),
-            chip_concurrency: self.org.chip_tracker.bins().clone(),
-            slice_concurrency,
-            translation_latency: self.translation_latency,
-            network: self.net.stats().cloned(),
-            energy: self.energy,
-            metrics: self.metrics.snapshot(),
-            trace: self.trace.records().copied().collect(),
-            trace_dropped: self.trace.dropped(),
-            sampling: None,
-        }
+        let measured = self.window_sample();
+        self.harvest_metrics(measured.runtime);
+        // `check_quota` rejected the quotas whose product overflows.
+        let accesses = self.threads.len() as u64 * (self.target - self.warm_target);
+        self.into_report(measured, accesses, None)
     }
 
     /// Reduces a sampled run to its report (`SAMPLING.md §4`): window sums
@@ -2076,51 +2044,40 @@ impl Simulation {
     /// `sampling` section. Also handles partial (aborted) sampled runs —
     /// whatever windows completed are reported, and the estimate list is
     /// empty when none did.
-    fn finish_sampled(mut self) -> SimReport {
-        let Some(state) = self.sampling.take() else {
-            // finish() dispatches here only when the state exists.
-            return self.finish();
-        };
+    fn finish_sampled(mut self, state: SamplingState) -> SimReport {
         let spec = state.spec;
         let windows = state.windows;
         let threads = self.threads.len() as u64;
         let last_runtime = windows.last().map_or(0, |w| w.runtime);
         self.harvest_metrics(last_runtime);
-        let mut cycles = 0u64;
-        let mut l1 = HitMiss::new();
-        let mut l2 = HitMiss::new();
-        let mut per_structure: Vec<HitMiss> = Vec::new();
-        let mut walks = 0u64;
-        let mut walks_llc_or_mem = 0u64;
-        let mut shootdowns = 0u64;
-        let mut flushes = 0u64;
-        let mut translation_latency = LatencyRecorder::new();
-        let mut energy = EnergyAccount::default();
-        let mut chip_concurrency = ConcurrencyBins::new();
-        let mut slice_concurrency = ConcurrencyBins::new();
-        let mut network: Option<NocStats> = None;
+        let mut total = WindowSample {
+            durations: state.thread_measured,
+            ..WindowSample::default()
+        };
         for w in &windows {
-            cycles += w.runtime;
-            l1.merge(w.l1);
-            l2.merge(w.l2);
-            if per_structure.len() < w.per_structure.len() {
-                per_structure.resize(w.per_structure.len(), HitMiss::new());
+            total.runtime += w.runtime;
+            total.l1.merge(w.l1);
+            total.l2.merge(w.l2);
+            if total.per_structure.len() < w.per_structure.len() {
+                total
+                    .per_structure
+                    .resize(w.per_structure.len(), HitMiss::new());
             }
-            for (total, s) in per_structure.iter_mut().zip(&w.per_structure) {
-                total.merge(*s);
+            for (sum, s) in total.per_structure.iter_mut().zip(&w.per_structure) {
+                sum.merge(*s);
             }
-            walks += w.walks;
-            walks_llc_or_mem += w.walks_llc_or_mem;
-            shootdowns += w.shootdowns;
-            flushes += w.flushes;
-            translation_latency.merge(&w.translation_latency);
-            energy.merge(&w.energy);
-            chip_concurrency.merge(&w.chip_concurrency);
-            slice_concurrency.merge(&w.slice_concurrency);
+            total.walks += w.walks;
+            total.walks_llc_or_mem += w.walks_llc_or_mem;
+            total.shootdowns += w.shootdowns;
+            total.flushes += w.flushes;
+            total.translation_latency.merge(&w.translation_latency);
+            total.energy.merge(&w.energy);
+            total.chip_concurrency.merge(&w.chip_concurrency);
+            total.slice_concurrency.merge(&w.slice_concurrency);
             if let Some(n) = &w.network {
-                match &mut network {
-                    Some(total) => total.merge(n),
-                    None => network = Some(n.clone()),
+                match &mut total.network {
+                    Some(sum) => sum.merge(n),
+                    None => total.network = Some(n.clone()),
                 }
             }
         }
@@ -2138,30 +2095,43 @@ impl Simulation {
             accesses_detailed: windows.len() as u64 * (spec.warmup() + spec.window()) * threads,
             estimates,
         };
+        let accesses = windows.len() as u64 * spec.window() * threads;
+        self.into_report(total, accesses, Some(section))
+    }
+
+    /// Packs measured statistics plus the run's end state (occupancy,
+    /// metrics, trace) into the report: the one place a [`SimReport`] is
+    /// built.
+    fn into_report(
+        self,
+        measured: WindowSample,
+        accesses: u64,
+        sampling: Option<SamplingReport>,
+    ) -> SimReport {
         SimReport {
             label: self.label,
             org_label: self.config.org.label().to_string(),
             cores: self.config.cores,
-            cycles,
-            accesses: windows.len() as u64 * spec.window() * threads,
-            per_thread_finish: state.thread_measured,
-            l1,
-            l2,
-            per_structure,
+            cycles: measured.runtime,
+            accesses,
+            per_thread_finish: measured.durations,
+            l1: measured.l1,
+            l2: measured.l2,
+            per_structure: measured.per_structure,
             l2_occupancy: self.org.occupancy(),
-            walks,
-            walks_llc_or_mem,
-            shootdowns,
-            flushes,
-            chip_concurrency,
-            slice_concurrency,
-            translation_latency,
-            network,
-            energy,
+            walks: measured.walks,
+            walks_llc_or_mem: measured.walks_llc_or_mem,
+            shootdowns: measured.shootdowns,
+            flushes: measured.flushes,
+            chip_concurrency: measured.chip_concurrency,
+            slice_concurrency: measured.slice_concurrency,
+            translation_latency: measured.translation_latency,
+            network: measured.network,
+            energy: measured.energy,
             metrics: self.metrics.snapshot(),
             trace: self.trace.records().copied().collect(),
             trace_dropped: self.trace.dropped(),
-            sampling: Some(section),
+            sampling,
         }
     }
 }

@@ -5,36 +5,34 @@
 //! determinism suite) catch drift *after* it happens; the static gate
 //! catches it at analysis time, in two halves (DESIGN.md §10):
 //!
-//! * **clippy** (`clippy.toml` plus `[workspace.lints.clippy]`, inherited
-//!   by every sim crate) bans hash-ordered collections, host clocks and
-//!   `unwrap`/`expect`; the vendored `rand` has no entropy-seeded
-//!   constructors at all.
-//! * **this crate** checks what clippy cannot express: in-place
-//!   event-timestamp mutation, order-sensitive float reduction,
-//!   nondeterministic values flowing into event-time and `SimReport`
-//!   sinks, and (at warn level) panicking `v[i]` indexing.
+//! * **the compiler and clippy.** `clippy.toml` plus
+//!   `[workspace.lints.clippy]`, inherited by every sim crate, ban
+//!   hash-ordered collections, host clocks and `unwrap`/`expect`; the
+//!   vendored `rand` has no entropy-seeded constructors at all; and
+//!   `SimReport` and `Delivery` are `#[non_exhaustive]`, so code outside
+//!   the sim crates cannot build one with a struct literal.
+//! * **this crate** checks what those cannot express: in-place
+//!   event-timestamp mutation, order-sensitive float reduction, and (at
+//!   warn level) panicking `v[i]` indexing.
 //!
 //! The environment vendors no `syn`, so the analyzer builds its own
 //! stack: a small Rust lexer ([`lexer`]) feeds an AST-lite
 //! recursive-descent parser ([`parser`]) covering the subset the repo
-//! uses (items, `use` paths, `impl` blocks, fn signatures, typed `let`
-//! bindings, struct/enum fields), a per-file scope table ([`scope`])
-//! that chases import renames and `type` aliases to resolve collection
-//! and float types, and a forward dataflow-lite pass ([`taint`]) that
-//! propagates nondeterministic taint through `let` chains into
-//! event-time and `SimReport` sinks. Rule visitors ([`rules`]) combine
-//! token patterns with these resolved views; `#[cfg(test)]` regions,
-//! string/char literals and comments are excluded soundly. Rules are
-//! configured per crate *class* (deterministic sim crates vs. bench/
-//! tools) by a TOML policy file ([`policy`], `nocstar-lint.toml` at the
-//! workspace root). Findings can be suppressed inline with
-//! `// nocstar-lint: allow(<rule>): <justification>` — the justification
-//! is mandatory, its absence is itself a build-failing finding, and a
-//! suppression whose rules ran but matched nothing is *stale* and fails
-//! the build too.
+//! uses (items, `use` paths, `type` aliases, fn signatures, typed `let`
+//! bindings, `for` bodies), and a per-file scope table ([`scope`]) chases
+//! import renames and `type` aliases to resolve float types. Rule
+//! visitors ([`rules`]) combine token patterns with these resolved views;
+//! `#[cfg(test)]` regions, string/char literals and comments are excluded
+//! soundly. Rules are configured per crate *class* (deterministic sim
+//! crates vs. bench/tools) by a TOML policy file ([`policy`],
+//! `nocstar-lint.toml` at the workspace root). Findings can be suppressed
+//! inline with `// nocstar-lint: allow(<rule>): <justification>` — the
+//! justification is mandatory, its absence is itself a build-failing
+//! finding, and a suppression whose rules ran but matched nothing is
+//! *stale* and fails the build too.
 //!
 //! Run it as `cargo run -p nocstar-lint`; see `--help` for output
-//! formats (human, JSON, SARIF) and CI wiring.
+//! formats (human, JSON) and CI wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +44,6 @@ pub mod policy;
 pub mod rules;
 pub mod scope;
 pub mod source;
-pub mod taint;
 
 use policy::{Policy, Severity};
 use rules::INVALID_SUPPRESSION;

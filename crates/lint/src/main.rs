@@ -7,7 +7,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 nocstar-lint — simulator-invariant static analysis (the half of the
-determinism gate that clippy cannot express)
+determinism gate that the compiler and clippy cannot express)
 
 USAGE:
     cargo run -p nocstar-lint [--] [OPTIONS] [FILES...]
@@ -20,7 +20,6 @@ OPTIONS:
     --policy <path>    policy file (default: <root>/nocstar-lint.toml)
     --class <name>     lint class for explicitly listed FILES (default: sim)
     --json-out <path>  also write a JSON report
-    --sarif-out <path> also write a SARIF 2.1.0 report
     --quiet            suppress per-finding human output (summary only)
     --list-rules       print the rule table and exit
     --help             this text
@@ -36,7 +35,6 @@ struct Opts {
     policy: Option<PathBuf>,
     class: String,
     json_out: Option<PathBuf>,
-    sarif_out: Option<PathBuf>,
     quiet: bool,
     files: Vec<PathBuf>,
 }
@@ -48,7 +46,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         policy: None,
         class: "sim".to_string(),
         json_out: None,
-        sarif_out: None,
         quiet: false,
         files: Vec::new(),
     };
@@ -78,7 +75,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
             "--policy" => opts.policy = Some(PathBuf::from(value("--policy")?)),
             "--class" => opts.class = value("--class")?,
             "--json-out" => opts.json_out = Some(PathBuf::from(value("--json-out")?)),
-            "--sarif-out" => opts.sarif_out = Some(PathBuf::from(value("--sarif-out")?)),
             "--quiet" | "-q" => opts.quiet = true,
             f if !f.starts_with('-') => opts.files.push(PathBuf::from(f)),
             other => return Err(format!("unknown option `{other}` (see --help)")),
@@ -139,15 +135,10 @@ fn main() -> ExitCode {
     } else {
         eprint!("{text}");
     }
-    for (path, contents) in [
-        (&opts.json_out, output::json(&report)),
-        (&opts.sarif_out, output::sarif(&report)),
-    ] {
-        if let Some(path) = path {
-            if let Err(e) = write_artifact(path, &contents) {
-                eprintln!("nocstar-lint: {e}");
-                return ExitCode::from(2);
-            }
+    if let Some(path) = &opts.json_out {
+        if let Err(e) = write_artifact(path, &output::json(&report)) {
+            eprintln!("nocstar-lint: {e}");
+            return ExitCode::from(2);
         }
     }
     if report.error_count() > 0 {

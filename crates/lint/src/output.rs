@@ -1,10 +1,9 @@
-//! Report rendering: human-readable, JSON, and SARIF 2.1.0.
+//! Report rendering: human-readable and JSON.
 //!
-//! JSON and SARIF both serialize through `nocstar-json`, so equal reports
-//! always produce byte-identical artifacts (the same property the
-//! simulator's golden harness relies on).
+//! JSON serializes through `nocstar-json`, so equal reports always
+//! produce byte-identical artifacts (the same property the simulator's
+//! golden harness relies on).
 
-use crate::policy::Severity;
 use crate::{Finding, Report};
 use nocstar_json::Json;
 use std::fmt::Write as _;
@@ -65,90 +64,10 @@ pub fn json(report: &Report) -> String {
     .to_string_pretty()
 }
 
-/// SARIF 2.1.0 report (the interchange format CI systems and code-scanning
-/// UIs ingest). Suppressed findings are omitted; rule metadata rides in
-/// `tool.driver.rules`.
-pub fn sarif(report: &Report) -> String {
-    let rules: Vec<Json> = crate::rules::registry()
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("id", Json::str(r.id())),
-                (
-                    "shortDescription",
-                    Json::obj(vec![("text", Json::str(r.description()))]),
-                ),
-                ("help", Json::obj(vec![("text", Json::str(r.fix_hint()))])),
-            ])
-        })
-        .collect();
-    let results: Vec<Json> = report
-        .findings
-        .iter()
-        .map(|f| {
-            let level = match f.severity {
-                Severity::Error => "error",
-                Severity::Warn => "warning",
-                Severity::Allow => "note",
-            };
-            Json::obj(vec![
-                ("ruleId", Json::str(&f.rule)),
-                ("level", Json::str(level)),
-                ("message", Json::obj(vec![("text", Json::str(&f.message))])),
-                (
-                    "locations",
-                    Json::Arr(vec![Json::obj(vec![(
-                        "physicalLocation",
-                        Json::obj(vec![
-                            (
-                                "artifactLocation",
-                                Json::obj(vec![
-                                    (
-                                        "uri",
-                                        Json::str(f.path.to_string_lossy().replace('\\', "/")),
-                                    ),
-                                    ("uriBaseId", Json::str("SRCROOT")),
-                                ]),
-                            ),
-                            (
-                                "region",
-                                Json::obj(vec![("startLine", Json::U64(u64::from(f.line)))]),
-                            ),
-                        ]),
-                    )])]),
-                ),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("version", Json::str("2.1.0")),
-        (
-            "$schema",
-            Json::str("https://json.schemastore.org/sarif-2.1.0.json"),
-        ),
-        (
-            "runs",
-            Json::Arr(vec![Json::obj(vec![
-                (
-                    "tool",
-                    Json::obj(vec![(
-                        "driver",
-                        Json::obj(vec![
-                            ("name", Json::str("nocstar-lint")),
-                            ("rules", Json::Arr(rules)),
-                        ]),
-                    )]),
-                ),
-                ("results", Json::Arr(results)),
-            ])]),
-        ),
-    ])
-    .to_string_pretty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Severity;
     use std::path::PathBuf;
 
     fn sample() -> Report {
@@ -174,24 +93,15 @@ mod tests {
     }
 
     #[test]
-    fn json_and_sarif_are_valid_and_deterministic() {
+    fn json_is_valid_and_deterministic() {
         let r = sample();
         let j1 = json(&r);
-        let s1 = sarif(&r);
         assert_eq!(j1, json(&r));
-        assert_eq!(s1, sarif(&r));
         let parsed = nocstar_json::Json::parse(&j1).unwrap();
         assert_eq!(parsed.get("errors").unwrap().as_u64(), Some(1));
-        let parsed = nocstar_json::Json::parse(&s1).unwrap();
+        let findings = parsed.get("findings").unwrap().as_array().unwrap();
         assert_eq!(
-            parsed.get("version").unwrap().as_str(),
-            Some("2.1.0"),
-            "SARIF version"
-        );
-        let runs = parsed.get("runs").unwrap().as_array().unwrap();
-        let results = runs[0].get("results").unwrap().as_array().unwrap();
-        assert_eq!(
-            results[0].get("ruleId").unwrap().as_str(),
+            findings[0].get("rule").unwrap().as_str(),
             Some("float-accumulation")
         );
     }

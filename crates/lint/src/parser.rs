@@ -2,12 +2,12 @@
 //!
 //! The environment still vendors no `syn`, so this is not a full Rust
 //! grammar: it recognizes exactly the subset the repo's rules need to
-//! reason about types and flow — items (`use`, `type`, `struct`, `enum`,
-//! `fn`, `impl`, `mod`, `trait`), `use` paths with renames and groups,
+//! reason about float types — items (`use`, `type`, `fn`, and the bodies
+//! of `impl`, `mod` and `trait`), `use` paths with renames and groups,
 //! fn signatures, `let` bindings with declared or constructor-inferred
-//! types, struct/enum fields, and `for` loops. Generic parameters are
-//! parsed but treated as opaque; expression bodies stay token soup with
-//! `let`/`for` statements lifted out.
+//! types, and `for` loop bodies. `struct`/`enum` bodies are skipped and
+//! generic parameters are treated as opaque; expression bodies stay
+//! token soup with `let`/`for` statements lifted out.
 //!
 //! The parser must never panic and must always make progress on
 //! malformed input: a file mid-edit degrades to a smaller AST, not an
@@ -43,17 +43,6 @@ impl Type {
     }
 }
 
-/// One named field of a struct (or enum variant payload).
-#[derive(Debug, Clone)]
-pub struct Field {
-    /// Field name; tuple/variant payloads get positional names (`0`).
-    pub name: String,
-    /// Declared type.
-    pub ty: Type,
-    /// 1-based line of the field declaration.
-    pub line: u32,
-}
-
 /// A `let` binding inside a fn body.
 #[derive(Debug, Clone)]
 pub struct LetBinding {
@@ -64,21 +53,6 @@ pub struct LetBinding {
     pub ty: Option<Type>,
     /// Token index range `[start, end)` of the initializer expression.
     pub init: Option<(usize, usize)>,
-    /// 1-based line of the `let`.
-    pub line: u32,
-}
-
-/// A `for` loop inside a fn body.
-#[derive(Debug, Clone)]
-pub struct ForLoop {
-    /// Loop binding when it is a simple identifier.
-    pub binding: Option<String>,
-    /// Token index range of the iterated expression.
-    pub iter: (usize, usize),
-    /// Token index range of the loop body (inside the braces).
-    pub body: (usize, usize),
-    /// 1-based line of the `for`.
-    pub line: u32,
 }
 
 /// A parsed fn with its signature and lifted body statements.
@@ -86,8 +60,6 @@ pub struct ForLoop {
 pub struct FnDef {
     /// Fn name.
     pub name: String,
-    /// The `impl` target type name when this fn is a method.
-    pub self_ty: Option<String>,
     /// `(name, type)` per parameter; opaque patterns get name `_`.
     pub params: Vec<(String, Type)>,
     /// Return type, when written.
@@ -96,8 +68,9 @@ pub struct FnDef {
     pub body: (usize, usize),
     /// `let` bindings, in source order (later bindings shadow earlier).
     pub lets: Vec<LetBinding>,
-    /// `for` loops, in source order (outer loops listed before inner).
-    pub fors: Vec<ForLoop>,
+    /// Token index ranges of `for` loop bodies (inside the braces), in
+    /// source order (outer loops listed before inner).
+    pub fors: Vec<(usize, usize)>,
     /// 1-based line of the `fn`.
     pub line: u32,
 }
@@ -110,8 +83,6 @@ pub struct Ast {
     pub imports: BTreeMap<String, (Vec<String>, u32)>,
     /// `type Name = T;` aliases: name → (target type, declaration line).
     pub aliases: BTreeMap<String, (Type, u32)>,
-    /// Struct/enum name → fields (enum variant payloads flattened in).
-    pub structs: BTreeMap<String, Vec<Field>>,
     /// Every fn in the file, including impl/trait methods.
     pub fns: Vec<FnDef>,
 }
@@ -137,7 +108,7 @@ pub fn parse(toks: &[Tok]) -> Ast {
         pos: 0,
         ast: Ast::default(),
     };
-    p.items(toks.len(), None);
+    p.items(toks.len());
     p.ast
 }
 
@@ -222,7 +193,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses items until `end` (a token index, exclusive).
-    fn items(&mut self, end: usize, self_ty: Option<&str>) {
+    fn items(&mut self, end: usize) {
         while self.pos < end {
             if self.at_punct('#') {
                 self.skip_attr();
@@ -242,11 +213,9 @@ impl<'a> Parser<'a> {
                 }
                 "use" => self.parse_use(),
                 "type" => self.parse_type_alias(),
-                "struct" => self.parse_struct(),
-                "enum" => self.parse_enum(),
-                "fn" => self.parse_fn(self_ty),
-                "impl" => self.parse_impl(end),
-                "mod" | "trait" => self.parse_mod_or_trait(end, self_ty),
+                "struct" | "enum" => self.skip_type_def(),
+                "fn" => self.parse_fn(),
+                "impl" | "mod" | "trait" => self.parse_block_item(end),
                 "unsafe" | "async" | "default" | "extern" | "const" | "static" => {
                     // Qualifiers before fn, or const/static items; the
                     // next loop turn sees the real keyword. `extern "C"`
@@ -355,143 +324,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_struct(&mut self) {
-        self.pos += 1; // `struct`
-        let Some(name) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
-            return;
-        };
-        let name = name.text.clone();
-        self.pos += 1;
-        self.skip_generics();
-        self.skip_where_clause();
-        let mut fields = Vec::new();
-        if self.at_punct('{') {
-            self.pos += 1;
-            self.parse_named_fields(&mut fields, '}');
-        } else if self.at_punct('(') {
-            self.pos += 1;
-            self.parse_tuple_fields(&mut fields, "");
-        }
-        self.ast.structs.insert(name, fields);
-    }
-
-    fn parse_enum(&mut self) {
-        self.pos += 1; // `enum`
-        let Some(name) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
-            return;
-        };
-        let name = name.text.clone();
-        self.pos += 1;
-        self.skip_generics();
-        self.skip_where_clause();
-        let mut fields = Vec::new();
-        if self.at_punct('{') {
-            self.pos += 1;
-            while self.pos < self.toks.len() && !self.at_punct('}') {
-                if self.at_punct('#') {
-                    self.skip_attr();
-                    continue;
-                }
-                let Some(v) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
-                    self.pos += 1;
-                    continue;
-                };
-                let variant = v.text.clone();
-                self.pos += 1;
-                if self.at_punct('(') {
-                    self.pos += 1;
-                    self.parse_tuple_fields(&mut fields, &variant);
-                } else if self.at_punct('{') {
-                    self.pos += 1;
-                    self.parse_named_fields(&mut fields, '}');
-                } else if self.at_punct('=') {
-                    // Discriminant: skip to `,` or `}` at depth 0.
-                    self.skip_to_comma_or('}');
-                }
-                if self.at_punct(',') {
-                    self.pos += 1;
-                }
+    /// `struct`/`enum` items: skips the name, generics and body (`{…}`,
+    /// `(…)` or nothing before `;`). The rules need no field types.
+    fn skip_type_def(&mut self) {
+        self.pos += 1; // `struct` / `enum`
+        while self.pos < self.toks.len() && !self.at_punct('{') && !self.at_punct('(') {
+            if self.at_punct(';') {
+                return;
             }
-            if self.at_punct('}') {
-                self.pos += 1;
-            }
-        }
-        self.ast.structs.insert(name, fields);
-    }
-
-    /// Named fields until the closing brace: `[pub] name: Type,`*
-    fn parse_named_fields(&mut self, out: &mut Vec<Field>, close: char) {
-        while self.pos < self.toks.len() && !self.at_punct(close) {
-            if self.at_punct('#') {
-                self.skip_attr();
-                continue;
-            }
-            if self.at_ident("pub") {
-                self.pos += 1;
-                if self.at_punct('(') {
-                    self.skip_balanced();
-                }
-                continue;
-            }
-            let Some(t) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
-                self.pos += 1;
-                continue;
-            };
-            let (fname, fline) = (t.text.clone(), t.line);
-            self.pos += 1;
-            if !self.at_punct(':') {
-                continue;
-            }
-            self.pos += 1;
-            let ty = self.parse_type();
-            out.push(Field {
-                name: fname,
-                ty,
-                line: fline,
-            });
-            if self.at_punct(',') {
-                self.pos += 1;
-            }
-        }
-        if self.at_punct(close) {
-            self.pos += 1;
-        }
-    }
-
-    /// Tuple fields until the closing paren; names are `prefix.N` (or
-    /// plain `N` for tuple structs).
-    fn parse_tuple_fields(&mut self, out: &mut Vec<Field>, prefix: &str) {
-        let mut idx = 0usize;
-        while self.pos < self.toks.len() && !self.at_punct(')') {
-            if self.at_punct('#') {
-                self.skip_attr();
-                continue;
-            }
-            if self.at_ident("pub") {
-                self.pos += 1;
-                if self.at_punct('(') {
-                    self.skip_balanced();
-                }
-                continue;
-            }
-            let line = self.line();
-            let ty = self.parse_type();
-            let name = if prefix.is_empty() {
-                idx.to_string()
+            if self.at_punct('<') {
+                self.skip_generics();
             } else {
-                format!("{prefix}.{idx}")
-            };
-            out.push(Field { name, ty, line });
-            idx += 1;
-            if self.at_punct(',') {
                 self.pos += 1;
-            } else if !self.at_punct(')') {
-                self.pos += 1; // malformed: keep moving
             }
         }
-        if self.at_punct(')') {
-            self.pos += 1;
-        }
+        self.skip_balanced();
     }
 
     fn skip_where_clause(&mut self) {
@@ -502,36 +349,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// `impl<…> Type {…}` or `impl<…> Trait for Type {…}`.
-    fn parse_impl(&mut self, end: usize) {
-        self.pos += 1; // `impl`
-        self.skip_generics();
-        let first = self.parse_type();
-        let target = if self.at_ident("for") {
-            self.pos += 1;
-            self.parse_type()
-        } else {
-            first
-        };
-        self.skip_where_clause();
-        if !self.at_punct('{') {
-            return;
-        }
-        let body_end = self.matching_brace(end);
-        self.pos += 1; // '{'
-        let name = target.name().to_string();
-        self.items(body_end, Some(&name));
-        self.pos = (body_end + 1).min(end);
-    }
-
-    fn parse_mod_or_trait(&mut self, end: usize, self_ty: Option<&str>) {
-        self.pos += 1; // `mod` / `trait`
-        if let Some(t) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) {
-            let _ = t;
-            self.pos += 1;
-        }
-        self.skip_generics();
-        // Supertrait bounds: skip to `{` or `;`.
+    /// `impl`, `mod` and `trait` items: skips the header to `{` (or a
+    /// bodiless `;`) and parses the body's items.
+    fn parse_block_item(&mut self, end: usize) {
+        self.pos += 1; // `impl` / `mod` / `trait`
         while self.pos < end && !self.at_punct('{') && !self.at_punct(';') {
             self.pos += 1;
         }
@@ -542,7 +363,7 @@ impl<'a> Parser<'a> {
         if self.at_punct('{') {
             let body_end = self.matching_brace(end);
             self.pos += 1;
-            self.items(body_end, self_ty);
+            self.items(body_end);
             self.pos = (body_end + 1).min(end);
         }
     }
@@ -567,7 +388,7 @@ impl<'a> Parser<'a> {
         end.saturating_sub(1).max(self.pos)
     }
 
-    fn parse_fn(&mut self, self_ty: Option<&str>) {
+    fn parse_fn(&mut self) {
         let line = self.line();
         self.pos += 1; // `fn`
         let Some(name) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
@@ -609,7 +430,6 @@ impl<'a> Parser<'a> {
         let (lets, fors) = scan_body(self.toks, body);
         self.ast.fns.push(FnDef {
             name,
-            self_ty: self_ty.map(str::to_string),
             params,
             ret,
             body,
@@ -680,25 +500,6 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return;
                 }
-                _ => {}
-            }
-            self.pos += 1;
-        }
-    }
-
-    /// Skips to the next `,` or `stop` char at depth 0.
-    fn skip_to_comma_or(&mut self, stop: char) {
-        let mut depth = 0i32;
-        while self.pos < self.toks.len() {
-            match self.toks[self.pos].kind {
-                TokKind::Punct('(' | '[' | '{') => depth += 1,
-                TokKind::Punct(')' | ']' | '}') => {
-                    if depth == 0 && self.toks[self.pos].is_punct(stop) {
-                        return;
-                    }
-                    depth -= 1;
-                }
-                TokKind::Punct(',') if depth == 0 => return,
                 _ => {}
             }
             self.pos += 1;
@@ -890,11 +691,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Scans a fn body token range for `let` bindings and `for` loops.
+/// Scans a fn body token range for `let` bindings and `for` loop bodies.
 /// The scan is flat: nested blocks and closures contribute their `let`s
 /// to the same (per-fn) table, which over-approximates scope but keeps
 /// shadowing order correct for forward dataflow.
-fn scan_body(toks: &[Tok], body: (usize, usize)) -> (Vec<LetBinding>, Vec<ForLoop>) {
+fn scan_body(toks: &[Tok], body: (usize, usize)) -> (Vec<LetBinding>, Vec<(usize, usize)>) {
     let (start, end) = body;
     let mut lets = Vec::new();
     let mut fors = Vec::new();
@@ -909,7 +710,6 @@ fn scan_body(toks: &[Tok], body: (usize, usize)) -> (Vec<LetBinding>, Vec<ForLoo
                 i += 1;
                 continue;
             }
-            let line = t.line;
             let mut j = i + 1;
             if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
                 j += 1;
@@ -943,22 +743,11 @@ fn scan_body(toks: &[Tok], body: (usize, usize)) -> (Vec<LetBinding>, Vec<ForLoo
                 init = Some((init_start, init_end));
                 j = init_end;
             }
-            lets.push(LetBinding {
-                name,
-                ty,
-                init,
-                line,
-            });
+            lets.push(LetBinding { name, ty, init });
             i = j;
             continue;
         }
         if t.is_ident("for") && !toks.get(i + 1).is_some_and(|t| t.is_punct('<')) {
-            let line = t.line;
-            let binding = toks
-                .get(i + 1)
-                .filter(|t| t.kind == TokKind::Ident && !is_keyword(&t.text))
-                .filter(|_| toks.get(i + 2).is_some_and(|t| t.is_ident("in")))
-                .map(|t| t.text.clone());
             // Find `in` at depth 0 (tuple patterns contain parens).
             let mut j = i + 1;
             let mut depth = 0i32;
@@ -1013,12 +802,7 @@ fn scan_body(toks: &[Tok], body: (usize, usize)) -> (Vec<LetBinding>, Vec<ForLoo
                 }
                 b += 1;
             }
-            fors.push(ForLoop {
-                binding,
-                iter: (in_at + 1, k),
-                body: (k + 1, b.min(end)),
-                line,
-            });
+            fors.push((k + 1, b.min(end)));
             i = k + 1; // descend into the body (nested loops still seen)
             continue;
         }
@@ -1075,25 +859,17 @@ mod tests {
     }
 
     #[test]
-    fn type_alias_and_struct_fields() {
+    fn type_aliases_parse_and_type_defs_are_skipped() {
         let a = ast("type Cache = std::collections::HashMap<u64, u64>;\n\
-             struct S { pub m: Cache, n: BTreeMap<u64, u64> }\n\
-             struct T(u64, Cache);");
+             struct S<T: Into<u8>> { pub m: Cache, f: fn(u8) -> u8 }\n\
+             struct T(u64, Cache);\n\
+             struct U;\n\
+             enum E { A = 1 << 2, B(u64, Cache), C { inner: RefCell<u8> } }\n\
+             fn after(x: f64) {}");
         assert_eq!(a.aliases["Cache"].0.name(), "HashMap");
-        let s = &a.structs["S"];
-        assert_eq!(s[0].name, "m");
-        assert_eq!(s[0].ty.name(), "Cache");
-        assert_eq!(s[1].ty.name(), "BTreeMap");
-        assert_eq!(s[1].ty.args.len(), 2);
-        assert_eq!(a.structs["T"][1].ty.name(), "Cache");
-    }
-
-    #[test]
-    fn enum_variant_payloads_are_fields() {
-        let a = ast("enum E { A, B(u64, Cache), C { inner: RefCell<u8> } }");
-        let fields = &a.structs["E"];
-        assert!(fields.iter().any(|f| f.ty.name() == "Cache"));
-        assert!(fields.iter().any(|f| f.ty.name() == "RefCell"));
+        assert_eq!(a.aliases["Cache"].0.args.len(), 2);
+        let names: Vec<&str> = a.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["after"], "type bodies must not leak items");
     }
 
     #[test]
@@ -1108,11 +884,12 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_carry_self_type() {
+    fn impl_and_trait_bodies_yield_their_methods() {
         let a = ast("impl<T> Wrapper<T> { fn get(&self) -> u64 { 1 } }\n\
-             impl Display for Thing { fn fmt(&self) {} }");
-        assert_eq!(a.fns[0].self_ty.as_deref(), Some("Wrapper"));
-        assert_eq!(a.fns[1].self_ty.as_deref(), Some("Thing"));
+             impl Display for Thing where Thing: Copy { fn fmt(&self) {} }\n\
+             trait Tr: Clone { fn req(&self); fn dflt(&self) {} }");
+        let names: Vec<&str> = a.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["get", "fmt", "dflt"]);
     }
 
     #[test]
@@ -1130,13 +907,15 @@ mod tests {
     }
 
     #[test]
-    fn for_loops_record_binding_iter_and_body() {
-        let a = ast("fn f(v: Vec<u64>) { for x in v.iter() { let y = x; } }");
-        let fors = &a.fns[0].fors;
+    fn for_loops_record_their_bodies() {
+        let src = "fn f(v: Vec<u64>) { for (i, x) in v.iter().enumerate() { let y = x; } }";
+        let toks = lex(src).toks;
+        let fors = &parse(&toks).fns[0].fors;
         assert_eq!(fors.len(), 1);
-        assert_eq!(fors[0].binding.as_deref(), Some("x"));
-        assert!(fors[0].iter.0 < fors[0].iter.1);
-        assert!(fors[0].body.0 < fors[0].body.1);
+        let (start, end) = fors[0];
+        assert!(toks[start].is_ident("let"), "{:?}", toks[start]);
+        assert_eq!(end - start, 5, "`let y = x;` and nothing else");
+        assert!(toks[end].is_punct('}'));
     }
 
     #[test]
@@ -1150,6 +929,7 @@ mod tests {
     fn malformed_input_degrades_without_panicking() {
         for src in [
             "struct",
+            "struct S<T",
             "fn f(",
             "impl {",
             "use ::::;",

@@ -247,7 +247,7 @@ mod tests {
         panic-indexing = "warn"
 
         [rules.tools]
-        tainted-event-time = "error"
+        event-time-regression = "error"
 
         [exempt]
         "crates/core/src/event.rs" = "event-time-regression"
@@ -259,7 +259,7 @@ mod tests {
         assert_eq!(p.crates["crates/core"], "sim");
         assert_eq!(p.severity("sim", "float-accumulation"), Severity::Error);
         assert_eq!(p.severity("sim", "panic-indexing"), Severity::Warn);
-        assert_eq!(p.severity("sim", "tainted-event-time"), Severity::Allow);
+        assert_eq!(p.severity("sim", "event-time-regression"), Severity::Allow);
         assert_eq!(
             p.severity("nonexistent", "float-accumulation"),
             Severity::Allow

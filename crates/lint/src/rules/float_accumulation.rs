@@ -99,8 +99,7 @@ impl Rule for FloatAccumulation {
         // Hand-rolled reductions: `x += …` / `x -= …` on a float local
         // inside a `for` body.
         for f in &file.ast.fns {
-            for fl in &f.fors {
-                let (start, end) = fl.body;
+            for &(start, end) in &f.fors {
                 let end = end.min(toks.len());
                 for i in start..end {
                     let t = &toks[i];

@@ -10,14 +10,12 @@
 mod event_time;
 mod float_accumulation;
 mod panic_indexing;
-mod tainted_event_time;
 
 use crate::source::SourceFile;
 
 pub use event_time::EventTimeRegression;
 pub use float_accumulation::FloatAccumulation;
 pub use panic_indexing::PanicIndexing;
-pub use tainted_event_time::TaintedEventTime;
 
 /// A raw match a rule emitted, before policy/suppression filtering.
 #[derive(Debug, Clone)]
@@ -46,7 +44,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(EventTimeRegression),
         Box::new(FloatAccumulation),
         Box::new(PanicIndexing),
-        Box::new(TaintedEventTime),
     ]
 }
 

@@ -3,48 +3,23 @@
 //! Built on the AST-lite ([`crate::parser`]), this resolves a type
 //! *spelling* to the canonical name it denotes within the file: import
 //! renames (`use std::collections::HashMap as Map`) and `type` aliases
-//! are chased (with a cycle guard), so a rule asking "is this
-//! hash-ordered?" sees through `Map`, `type Cache = Map<K, V>`, and a
-//! struct field declared as `Cache`. Resolution is per-file by design —
-//! an alias exported from another crate is invisible — which keeps the
-//! analysis dependency-free and O(file); the gap is documented in
-//! DESIGN.md §10.
+//! are chased (with a cycle guard), so a rule asking "is this a float?"
+//! sees through `type Real = f64` and `type Meters = Real`. Resolution is
+//! per-file by design — an alias exported from another crate is
+//! invisible — which keeps the analysis dependency-free and O(file); the
+//! gap is documented in DESIGN.md §10.
 
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{is_keyword, Ast, FnDef, Type};
 use std::collections::BTreeSet;
 
-/// Collection names whose iteration order is hash-dependent.
-pub const HASH_ORDERED: &[&str] = &[
-    "HashMap",
-    "HashSet",
-    "RandomState",
-    "FxHashMap",
-    "FxHashSet",
-    "IndexMap",
-    "IndexSet",
-];
-
 /// What a resolved type means to the determinism rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeClass {
-    /// Iteration order varies run to run (`HashMap`, `HashSet`, …).
-    HashOrdered,
     /// `f32` / `f64`.
     Float,
     /// Anything else (including unresolved).
     Other,
-}
-
-/// Classifies a canonical (already-resolved) type name.
-pub fn classify_name(name: &str) -> TypeClass {
-    if HASH_ORDERED.contains(&name) {
-        TypeClass::HashOrdered
-    } else if name == "f32" || name == "f64" {
-        TypeClass::Float
-    } else {
-        TypeClass::Other
-    }
 }
 
 /// The per-file resolution context.
@@ -56,11 +31,6 @@ impl<'a> Scope<'a> {
     /// Builds a scope over a parsed file.
     pub fn new(ast: &'a Ast) -> Scope<'a> {
         Scope { ast }
-    }
-
-    /// The underlying AST.
-    pub fn ast(&self) -> &Ast {
-        self.ast
     }
 
     /// Resolves a type spelling to its canonical name, chasing import
@@ -97,22 +67,10 @@ impl<'a> Scope<'a> {
 
     /// Resolves and classifies a type spelling.
     pub fn classify(&self, ty: &Type) -> TypeClass {
-        classify_name(&self.canonical(ty))
-    }
-
-    /// Resolves and classifies a bare name used in type position.
-    pub fn classify_ident(&self, name: &str) -> TypeClass {
-        self.classify(&Type::simple(name))
-    }
-
-    /// The declared type of `field` on struct/enum `owner`, if known.
-    pub fn field_type(&self, owner: &str, field: &str) -> Option<&Type> {
-        self.ast
-            .structs
-            .get(owner)?
-            .iter()
-            .find(|f| f.name == field)
-            .map(|f| &f.ty)
+        match self.canonical(ty).as_str() {
+            "f32" | "f64" => TypeClass::Float,
+            _ => TypeClass::Other,
+        }
     }
 
     /// The type of a local name inside `f`: the last `let` binding before
@@ -134,67 +92,6 @@ impl<'a> Scope<'a> {
             .iter()
             .find(|(p, _)| p == name)
             .map(|(_, ty)| ty.clone())
-    }
-
-    /// Classifies the base of a `.method()` receiver chain ending just
-    /// before token index `dot` (the `.` of the method call): walks back
-    /// over `ident(.ident)*`, then resolves the base through locals
-    /// (`f`'s params and lets) or `self.field` through the impl target's
-    /// fields.
-    pub fn classify_receiver(&self, f: &FnDef, toks: &[Tok], dot: usize) -> TypeClass {
-        // Collect the chain: walk backwards while we see ident / '.'.
-        let mut names = Vec::new();
-        let mut i = dot; // index of the '.'
-        loop {
-            if i == 0 {
-                break;
-            }
-            let prev = &toks[i - 1];
-            if prev.kind == TokKind::Ident && !is_keyword(&prev.text) || prev.is_ident("self") {
-                names.push(prev.text.clone());
-                i -= 1;
-                if i > 0 && toks[i - 1].is_punct('.') {
-                    i -= 1;
-                    continue;
-                }
-            }
-            break;
-        }
-        names.reverse();
-        let ty = match names.as_slice() {
-            [] => None,
-            [one] if one == "self" => None,
-            [one] => self.local_type(f, one, toks).or_else(|| {
-                // A bare uppercase path base (`HashMap::new`-style
-                // receivers) is its own type name.
-                one.chars()
-                    .next()
-                    .filter(char::is_ascii_uppercase)
-                    .map(|_| Type::simple(one))
-            }),
-            // self.field(.field)* — start from the impl target's fields
-            // (chasing the impl target through aliases first).
-            [base, field, rest @ ..] if base == "self" => (|| {
-                let owner = self.canonical(&Type::simple(f.self_ty.as_deref()?));
-                let mut ty = self.field_type(&owner, field).cloned()?;
-                for fname in rest {
-                    let owner = self.canonical(&ty);
-                    ty = self.field_type(&owner, fname).cloned()?;
-                }
-                Some(ty)
-            })(),
-            // local.field(.field)* — resolve the local, then walk
-            // fields through any structs defined in this file.
-            [base, rest @ ..] => (|| {
-                let mut ty = self.local_type(f, base, toks)?;
-                for fname in rest {
-                    let owner = self.canonical(&ty);
-                    ty = self.field_type(&owner, fname).cloned()?;
-                }
-                Some(ty)
-            })(),
-        };
-        ty.map_or(TypeClass::Other, |t| self.classify(&t))
     }
 }
 
@@ -330,14 +227,17 @@ mod tests {
         let (ast, _) = scoped(
             "use std::collections::HashMap as Map;\n\
              type Cache = Map<u64, u64>;\n\
-             type Deep = Cache;",
+             type Deep = Cache;\n\
+             type Real = f64;\n\
+             type Meters = Real;",
         );
         let s = Scope::new(&ast);
         assert_eq!(s.canonical(&Type::simple("Map")), "HashMap");
         assert_eq!(s.canonical(&Type::simple("Cache")), "HashMap");
         assert_eq!(s.canonical(&Type::simple("Deep")), "HashMap");
-        assert_eq!(s.classify_ident("Deep"), TypeClass::HashOrdered);
-        assert_eq!(s.classify_ident("BTreeMap"), TypeClass::Other);
+        assert_eq!(s.canonical(&Type::simple("BTreeMap")), "BTreeMap");
+        assert_eq!(s.classify(&Type::simple("Meters")), TypeClass::Float);
+        assert_eq!(s.classify(&Type::simple("Deep")), TypeClass::Other);
     }
 
     #[test]
@@ -348,48 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn field_and_local_resolution() {
+    fn local_resolution() {
         let (ast, toks) = scoped(
             "use std::collections::HashSet as Shared;\n\
-             struct S { inner: Shared<u64> }\n\
-             impl S { fn f(&self, x: f64) { let m = std::collections::HashMap::new(); \
-             let y: Shared<u8> = make(); self.inner.len(); } }",
+             type Real = f32;\n\
+             fn f(x: f64, r: Real) { let m = std::collections::HashMap::new(); \
+             let y: Shared<u8> = make(); }",
         );
         let s = Scope::new(&ast);
-        assert_eq!(
-            s.field_type("S", "inner").map(|t| s.classify(t)),
-            Some(TypeClass::HashOrdered)
-        );
         let f = &ast.fns[0];
-        assert_eq!(
-            s.local_type(f, "m", &toks).map(|t| s.classify(&t)),
-            Some(TypeClass::HashOrdered)
-        );
-        assert_eq!(
-            s.local_type(f, "y", &toks).map(|t| s.classify(&t)),
-            Some(TypeClass::HashOrdered)
-        );
-        assert_eq!(
-            s.local_type(f, "x", &toks).map(|t| s.classify(&t)),
-            Some(TypeClass::Float)
-        );
-    }
-
-    #[test]
-    fn receiver_chains_resolve_through_self_fields() {
-        let src = "use std::collections::HashMap as Map;\n\
-                   struct S { homes: Map<u64, u64> }\n\
-                   impl S { fn g(&self) { for k in self.homes.keys() { let _ = k; } } }";
-        let (ast, toks) = scoped(src);
-        let s = Scope::new(&ast);
-        let f = &ast.fns[0];
-        // Find the '.' before `keys`.
-        let dot = toks
-            .iter()
-            .position(|t| t.is_ident("keys"))
-            .expect("keys token")
-            - 1;
-        assert_eq!(s.classify_receiver(f, &toks, dot), TypeClass::HashOrdered);
+        let local = |name| s.local_type(f, name, &toks).map(|t| s.canonical(&t));
+        assert_eq!(local("m").as_deref(), Some("HashMap"));
+        assert_eq!(local("y").as_deref(), Some("HashSet"));
+        for name in ["x", "r"] {
+            assert_eq!(
+                s.local_type(f, name, &toks).map(|t| s.classify(&t)),
+                Some(TypeClass::Float)
+            );
+        }
     }
 
     #[test]

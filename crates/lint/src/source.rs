@@ -28,7 +28,7 @@ pub struct SourceFile {
     pub class: String,
     /// Code tokens.
     pub toks: Vec<Tok>,
-    /// AST-lite view of the token stream (items, fns, struct fields),
+    /// AST-lite view of the token stream (imports, aliases, fns),
     /// consumed by the type-resolved rules via [`crate::scope::Scope`].
     pub ast: Ast,
     /// Comments (for rules that inspect them).

@@ -18,7 +18,6 @@ const RULES: &[(&str, &str, bool)] = &[
     ("event_time_regression", "event-time-regression", true),
     ("float_accumulation", "float-accumulation", true),
     ("panic_indexing", "panic-indexing", false),
-    ("tainted_event_time", "tainted-event-time", true),
 ];
 
 fn workspace_root() -> PathBuf {
@@ -186,10 +185,9 @@ fn cli_exit_codes_track_fixture_severity() {
 }
 
 #[test]
-fn cli_writes_json_and_sarif_artifacts() {
+fn cli_writes_json_artifact() {
     let tmp = workspace_root().join("target/lint-test-artifacts");
     let json_path = tmp.join("report.json");
-    let sarif_path = tmp.join("report.sarif");
     let out = Command::new(env!("CARGO_BIN_EXE_nocstar-lint"))
         .arg("--root")
         .arg(workspace_root())
@@ -198,8 +196,6 @@ fn cli_writes_json_and_sarif_artifacts() {
         .arg("--quiet")
         .arg("--json-out")
         .arg(&json_path)
-        .arg("--sarif-out")
-        .arg(&sarif_path)
         .arg(fixture("float_accumulation", "bad.rs"))
         .output()
         .expect("nocstar-lint binary runs");
@@ -209,10 +205,4 @@ fn cli_writes_json_and_sarif_artifacts() {
         json.contains("float-accumulation"),
         "JSON artifact names the firing rule: {json}"
     );
-    let sarif = std::fs::read_to_string(&sarif_path).expect("SARIF artifact written");
-    assert!(
-        sarif.contains("\"version\": \"2.1.0\"") || sarif.contains("\"version\":\"2.1.0\""),
-        "SARIF artifact declares schema version: {sarif}"
-    );
-    assert!(sarif.contains("float-accumulation"));
 }

@@ -97,7 +97,6 @@ const SIM_SEVERITIES: &[(&str, Severity)] = &[
     ("event-time-regression", Severity::Error),
     ("float-accumulation", Severity::Error),
     ("panic-indexing", Severity::Warn),
-    ("tainted-event-time", Severity::Error),
 ];
 
 #[test]

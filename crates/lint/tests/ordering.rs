@@ -1,5 +1,5 @@
 //! Finding-order stability: however files reach the linter (and in
-//! whatever argument order), every emitter — human, JSON, SARIF — must
+//! whatever argument order), both emitters — human and JSON — must
 //! present findings sorted by (path, line, rule id), so diffs between CI
 //! runs are semantic, never positional.
 
@@ -21,18 +21,16 @@ fn fixture(dir: &str, name: &str) -> PathBuf {
 type Key = (String, u64, String);
 
 #[test]
-fn finding_order_is_pinned_across_all_emitters() {
+fn finding_order_is_pinned_across_both_emitters() {
     // Deliberately scrambled argument order: reverse-alphabetical, with
     // a multi-finding fixture in the middle.
     let args = [
-        fixture("tainted_event_time", "bad.rs"),
         fixture("panic_indexing", "bad.rs"),
         fixture("float_accumulation", "bad.rs"),
         fixture("event_time_regression", "bad.rs"),
     ];
     let tmp = workspace_root().join("target/lint-test-ordering");
     let json_path = tmp.join("report.json");
-    let sarif_path = tmp.join("report.sarif");
     let out = Command::new(env!("CARGO_BIN_EXE_nocstar-lint"))
         .arg("--root")
         .arg(workspace_root())
@@ -40,8 +38,6 @@ fn finding_order_is_pinned_across_all_emitters() {
         .arg("sim")
         .arg("--json-out")
         .arg(&json_path)
-        .arg("--sarif-out")
-        .arg(&sarif_path)
         .args(&args)
         .output()
         .expect("nocstar-lint binary runs");
@@ -61,9 +57,6 @@ fn finding_order_is_pinned_across_all_emitters() {
 
     let human_keys = human_keys(&String::from_utf8_lossy(&out.stderr));
     assert_eq!(human_keys, json_keys, "human output must match JSON order");
-
-    let sarif_keys = sarif_keys(&std::fs::read_to_string(&sarif_path).expect("sarif artifact"));
-    assert_eq!(sarif_keys, json_keys, "SARIF results must match JSON order");
 }
 
 fn json_keys(text: &str) -> Vec<Key> {
@@ -95,39 +88,6 @@ fn human_keys(text: &str) -> Vec<Key> {
             let path = parts.next()?.to_string();
             let line: u64 = parts.next()?.parse().ok()?;
             Some((path, line, rule))
-        })
-        .collect()
-}
-
-fn sarif_keys(text: &str) -> Vec<Key> {
-    let doc = nocstar_json::Json::parse(text).expect("valid sarif");
-    let runs = doc.get("runs").unwrap().as_array().unwrap();
-    runs[0]
-        .get("results")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|r| {
-            let loc = &r.get("locations").unwrap().as_array().unwrap()[0];
-            let phys = loc.get("physicalLocation").unwrap();
-            let path = phys
-                .get("artifactLocation")
-                .unwrap()
-                .get("uri")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .to_string();
-            let line = phys
-                .get("region")
-                .unwrap()
-                .get("startLine")
-                .unwrap()
-                .as_u64()
-                .unwrap();
-            let rule = r.get("ruleId").unwrap().as_str().unwrap().to_string();
-            (path, line, rule)
         })
         .collect()
 }

@@ -68,7 +68,19 @@ impl fmt::Display for Message {
 }
 
 /// A message arriving at its destination.
+///
+/// Only the network models in this crate build one: the type is
+/// `#[non_exhaustive]`, so code outside it cannot construct a delivery or
+/// restamp one with a functional update, and every arrival time comes
+/// from a fabric's simulated clock. Fields stay public to read.
+///
+/// ```compile_fail,E0639
+/// fn restamp(d: nocstar_noc::Delivery) -> nocstar_noc::Delivery {
+///     nocstar_noc::Delivery { at: d.at, ..d }
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct Delivery {
     /// The delivered message.
     pub msg: Message,

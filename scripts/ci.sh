@@ -5,7 +5,9 @@
 # Two modes (ROADMAP "CI timing budget"):
 #
 #   ci.sh             fast PR gate: fmt + nocstar-lint + clippy + docs +
-#                     build + tier-1 tests (including the NCT trace
+#                     build (including hostbench, the one consumer of the
+#                     simulator's public fields outside the workspace) +
+#                     tier-1 tests (including the NCT trace
 #                     round-trip/golden-fixture suite and the
 #                     hierarchical-fabric unit/property suites).
 #                     Target: a few minutes.
@@ -22,14 +24,16 @@
 #                     (record -> replay -> byte-for-byte report diff).
 #
 # The determinism gate has two halves (DESIGN.md §10). nocstar-lint
-# checks the simulator invariants clippy cannot express (event-time
-# mutation, float reduction order, tainted event times, panic indexing);
-# it writes JSON + SARIF reports to target/lint/ so CI can upload them as
-# build artifacts, and exits non-zero on any error-severity finding. The
-# clippy step is the other half: with clippy.toml and the
+# checks the simulator invariants the compiler and clippy cannot express
+# (event-time mutation, float reduction order, panic indexing); it writes
+# a JSON report to target/lint/ so CI can upload it as a build artifact,
+# and exits non-zero on any error-severity finding. The compiler and
+# clippy are the other half: with clippy.toml and the
 # [workspace.lints.clippy] table every sim crate inherits, `-D warnings`
 # fails on hash-ordered collections, host clocks, unwrap/expect outside
-# tests, and bare or unfulfilled #[allow]/#[expect] attributes.
+# tests, and bare or unfulfilled #[allow]/#[expect] attributes, and the
+# non-exhaustive SimReport and Delivery cannot be built outside their
+# crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,10 +51,8 @@ cargo fmt --all -- --check
 echo "== nocstar-lint (simulator invariants) =="
 rm -rf target/lint
 mkdir -p target/lint
-cargo run --release -q -p nocstar-lint -- \
-  --json-out target/lint/report.json \
-  --sarif-out target/lint/report.sarif
-echo "   lint artifacts: target/lint/report.json, target/lint/report.sarif"
+cargo run --release -q -p nocstar-lint -- --json-out target/lint/report.json
+echo "   lint artifact: target/lint/report.json"
 
 echo "== cargo clippy (deny warnings; the clippy half of the determinism gate) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -60,6 +62,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== cargo build --release =="
 cargo build --workspace --release
+
+echo "== hostbench build (out-of-workspace reader of SimReport and Delivery) =="
+cargo build --release --manifest-path hostbench/Cargo.toml
 
 echo "== tier-1 tests =="
 cargo test -q --workspace

@@ -350,7 +350,8 @@ impl SystemConfig {
     /// Degenerate configurations: zero cores or SMT, more cores than trace
     /// component ids can tell from slices ([`SLICE_COMPONENT_BASE`]), a
     /// bad L1 scale, a zero livelock window, a `parallel_domains` other
-    /// than 1, or TLB organization sizes that do not divide evenly.
+    /// than 1, TLB organization sizes that do not divide evenly, or a
+    /// zero HPCmax on any bypass fabric.
     pub fn check(&self) -> Result<(), String> {
         let require = |ok: bool, problem: &str| {
             if ok {
@@ -384,9 +385,11 @@ impl SystemConfig {
             TlbOrg::Monolithic {
                 entries_per_core,
                 banks,
+                net,
                 ..
             } => {
                 require(entries_per_core > 0, "bad monolithic size")?;
+                require(net != MonolithicNet::Smart(0), "HPCmax must be nonzero")?;
                 require(
                     banks > 0 && banks <= self.cores,
                     "banks must be in 1..=cores",
@@ -550,6 +553,38 @@ mod tests {
             assert!(SystemConfig::new(cores, TlbOrg::paper_monolithic(cores))
                 .check()
                 .is_err());
+        }
+    }
+
+    #[test]
+    fn check_rejects_zero_hpc_max_on_every_fabric() {
+        let smart = |hpc| TlbOrg::Monolithic {
+            entries_per_core: 1024,
+            banks: 4,
+            net: MonolithicNet::Smart(hpc),
+            latency_override: None,
+        };
+        let hier = |hpc| TlbOrg::Hier {
+            slice_entries: 1024,
+            cluster_size: 4,
+            intra: IntraKind::Bus,
+            inter: InterKind::Smart(hpc),
+        };
+        let nocstar = |hpc| TlbOrg::Nocstar {
+            slice_entries: 920,
+            hpc_max: hpc,
+            acquire: AcquireMode::OneWay,
+            ideal_fabric: false,
+        };
+        for org in [smart(0), hier(0), nocstar(0)] {
+            assert_eq!(
+                SystemConfig::new(16, org).check(),
+                Err("HPCmax must be nonzero".into()),
+                "{org:?}"
+            );
+        }
+        for org in [smart(1), hier(1), nocstar(1)] {
+            assert_eq!(SystemConfig::new(16, org).check(), Ok(()), "{org:?}");
         }
     }
 

@@ -11,7 +11,6 @@ use nocstar_noc::circuit::{AcquireMode, CircuitFabric};
 use nocstar_noc::hier::HierNoc;
 use nocstar_noc::mesh::MeshNoc;
 use nocstar_noc::message::{Delivery, Message, MsgKind};
-use nocstar_noc::smart::SmartNoc;
 use nocstar_noc::{Interconnect, NocStats};
 use nocstar_types::time::Cycle;
 use nocstar_types::MeshShape;
@@ -27,10 +26,9 @@ use nocstar_types::MeshShape;
 pub enum NetworkModel {
     /// No network (private TLBs, or the zero-latency ideal).
     None,
-    /// Contention-free multi-hop mesh (distributed / monolithic baselines).
+    /// Multi-hop mesh: contention-free (distributed / monolithic
+    /// baselines) or SMART bypass (monolithic-SMART of Fig 15).
     Mesh(MeshNoc),
-    /// SMART bypass mesh (monolithic-SMART of Fig 15).
-    Smart(SmartNoc),
     /// The NOCSTAR circuit-switched fabric.
     Circuit(CircuitFabric),
     /// The two-level hierarchical fabric (`hier` organizations).
@@ -67,7 +65,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => panic!("no network in this organization"),
             NetworkModel::Mesh(n) => n.submit(now, msg),
-            NetworkModel::Smart(n) => n.submit(now, msg),
             NetworkModel::Circuit(n) => n.submit(now, msg),
             NetworkModel::Hier(n) => n.submit(now, msg),
         }
@@ -100,7 +97,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => Vec::new(),
             NetworkModel::Mesh(n) => n.advance(cycle),
-            NetworkModel::Smart(n) => n.advance(cycle),
             NetworkModel::Circuit(n) => n.advance(cycle),
             NetworkModel::Hier(n) => n.advance(cycle),
         }
@@ -111,7 +107,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => None,
             NetworkModel::Mesh(n) => n.next_activity(),
-            NetworkModel::Smart(n) => n.next_activity(),
             NetworkModel::Circuit(n) => n.next_activity(),
             NetworkModel::Hier(n) => n.next_activity(),
         }
@@ -122,7 +117,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => {}
             NetworkModel::Mesh(n) => n.reset_stats(),
-            NetworkModel::Smart(n) => n.reset_stats(),
             NetworkModel::Circuit(n) => n.reset_stats(),
             NetworkModel::Hier(n) => n.reset_stats(),
         }
@@ -133,7 +127,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => None,
             NetworkModel::Mesh(n) => Some(n.stats()),
-            NetworkModel::Smart(n) => Some(n.stats()),
             NetworkModel::Circuit(n) => Some(n.stats()),
             NetworkModel::Hier(n) => Some(n.stats()),
         }
@@ -144,7 +137,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => {}
             NetworkModel::Mesh(n) => n.install_faults(plan),
-            NetworkModel::Smart(n) => n.install_faults(plan),
             NetworkModel::Circuit(n) => n.install_faults(plan),
             NetworkModel::Hier(n) => n.install_faults(plan),
         }
@@ -155,7 +147,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => None,
             NetworkModel::Mesh(n) => n.fault_stats(),
-            NetworkModel::Smart(n) => n.fault_stats(),
             NetworkModel::Circuit(n) => n.fault_stats(),
             NetworkModel::Hier(n) => n.fault_stats(),
         }
@@ -166,7 +157,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => {}
             NetworkModel::Mesh(n) => n.install_recovery(policy),
-            NetworkModel::Smart(n) => n.install_recovery(policy),
             NetworkModel::Circuit(n) => n.install_recovery(policy),
             NetworkModel::Hier(n) => n.install_recovery(policy),
         }
@@ -179,7 +169,6 @@ impl NetworkModel {
         match self {
             NetworkModel::None => None,
             NetworkModel::Mesh(n) => n.recovery_stats().cloned(),
-            NetworkModel::Smart(n) => n.recovery_stats().cloned(),
             NetworkModel::Circuit(n) => n.recovery_stats().cloned(),
             NetworkModel::Hier(n) => Some(n.recovery_stats_merged()),
         }
@@ -193,7 +182,6 @@ impl NetworkModel {
                 ..DiagSnapshot::default()
             },
             NetworkModel::Mesh(n) => n.diagnostics(cycle),
-            NetworkModel::Smart(n) => n.diagnostics(cycle),
             NetworkModel::Circuit(n) => n.diagnostics(cycle),
             NetworkModel::Hier(n) => n.diagnostics(cycle),
         }

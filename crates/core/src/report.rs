@@ -27,6 +27,16 @@ use crate::sampling::SamplingReport;
 ///     nocstar_core::SimReport { cycles: 0, ..r }
 /// }
 /// ```
+///
+/// The same paths and field compile when the field is read instead, so
+/// the example above can only fail on its struct literal:
+///
+/// ```
+/// fn rewrite(r: nocstar_core::SimReport) -> nocstar_core::SimReport {
+///     let _cycles: u64 = r.cycles;
+///     r
+/// }
+/// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SimReport {

@@ -21,7 +21,6 @@ use nocstar_mem::walker::WalkLatency;
 use nocstar_noc::hier::HierNoc;
 use nocstar_noc::mesh::MeshNoc;
 use nocstar_noc::message::{Delivery, Message, MsgKind};
-use nocstar_noc::smart::SmartNoc;
 use nocstar_stats::counter::{Counter, HitMiss};
 use nocstar_stats::histogram::ConcurrencyBins;
 use nocstar_stats::latency::LatencyRecorder;
@@ -409,7 +408,7 @@ impl Simulation {
             TlbOrg::Distributed { .. } => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
             TlbOrg::Monolithic { net, .. } => match net {
                 MonolithicNet::Mesh => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
-                MonolithicNet::Smart(hpc) => NetworkModel::Smart(SmartNoc::new(mesh, hpc)),
+                MonolithicNet::Smart(hpc) => NetworkModel::Mesh(MeshNoc::smart(mesh, hpc)),
                 MonolithicNet::Ideal => NetworkModel::None,
             },
             TlbOrg::Nocstar {

@@ -11,7 +11,7 @@
 use crate::hierarchy::{MemorySystem, ServicedBy};
 use crate::page_table::PerLevel;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Asid, CoreId, PhysPageNum, VirtAddr, VirtPageNum};
+use nocstar_types::{Asid, CoreId, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
 
 /// How page-walk latency is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,22 +142,7 @@ impl MemorySystem {
                 pte_reads: PerLevel::empty(ServicedBy::Pwc),
             },
             WalkLatency::Variable => {
-                let mut latency = Cycles::ZERO;
-                let mut pte_reads = PerLevel::empty(ServicedBy::Pwc);
-                let leaf = outcome.pte_addrs.len() - 1;
-                for (level, pa) in outcome.pte_addrs.iter().enumerate() {
-                    // Upper-level PTEs are served by the per-core paging-
-                    // structure cache when present; the leaf PTE always
-                    // reads the memory hierarchy.
-                    if level < leaf && self.pwc_mut(core).access(*pa) {
-                        latency += Cycles::ONE;
-                        pte_reads.push(ServicedBy::Pwc);
-                        continue;
-                    }
-                    let r = self.access(core, *pa, false);
-                    latency += r.latency;
-                    pte_reads.push(r.serviced_by);
-                }
+                let (latency, pte_reads) = self.read_ptes::<true>(core, &outcome.pte_addrs);
                 WalkResult {
                     vpn,
                     ppn,
@@ -190,16 +175,45 @@ impl MemorySystem {
             return;
         };
         let outcome = table.walk(va);
-        if outcome.mapping.is_none() || outcome.pte_addrs.is_empty() {
-            return;
+        if outcome.mapping.is_some() {
+            self.read_ptes::<false>(core, &outcome.pte_addrs);
         }
-        let leaf = outcome.pte_addrs.len() - 1;
-        for (level, pa) in outcome.pte_addrs.iter().enumerate() {
-            if level < leaf && self.pwc_mut(core).touch(*pa) {
-                continue;
+    }
+
+    /// The PTE reads of one variable-latency walk, in walk order.
+    /// Upper-level PTEs are served by the per-core paging-structure cache
+    /// when present; the leaf PTE always reads the memory hierarchy.
+    /// `TIMED` charges and counts every read, returning the latency and
+    /// where each read was serviced; untimed reads fill the same state
+    /// but record nothing and return zero and an empty list.
+    fn read_ptes<const TIMED: bool>(
+        &mut self,
+        core: CoreId,
+        pte_addrs: &[PhysAddr],
+    ) -> (Cycles, PerLevel<ServicedBy>) {
+        let mut latency = Cycles::ZERO;
+        let mut pte_reads = PerLevel::empty(ServicedBy::Pwc);
+        for (level, &pa) in pte_addrs.iter().enumerate() {
+            if level + 1 < pte_addrs.len() {
+                let pwc = self.pwc_mut(core);
+                let hit = if TIMED { pwc.access(pa) } else { pwc.touch(pa) };
+                if hit {
+                    if TIMED {
+                        latency += Cycles::ONE;
+                        pte_reads.push(ServicedBy::Pwc);
+                    }
+                    continue;
+                }
             }
-            self.warm_access(core, *pa, false);
+            if TIMED {
+                let r = self.access(core, pa, false);
+                latency += r.latency;
+                pte_reads.push(r.serviced_by);
+            } else {
+                self.warm_access(core, pa, false);
+            }
         }
+        (latency, pte_reads)
     }
 }
 

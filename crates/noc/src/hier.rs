@@ -11,8 +11,9 @@
 //!   non-blocking [`XbarNoc`] (per-output-port arbitration, 1-cycle
 //!   traversal);
 //! * an **inter-cluster overlay** connecting one gateway tile per cluster
-//!   — a contended [`MeshNoc`] or a [`SmartNoc`] bypass mesh over the
-//!   cluster grid.
+//!   — a [`MeshNoc`] over the cluster grid, either the contended mesh or
+//!   SMART bypass (one flit engine; the claim rule is chosen by
+//!   [`InterKind`]).
 //!
 //! A same-cluster message takes one intra-fabric leg. A cross-cluster
 //! message takes three store-and-forward legs: source tile to its
@@ -26,7 +27,10 @@
 //! one leg at any instant, so ids stay unique per fabric). `HierNoc`
 //! tracks leg progress in a route table and reports *end-to-end*
 //! statistics: `latency` is submit-to-final-arrival, and `no_contention`
-//! counts messages that matched their route's zero-queueing floor.
+//! counts messages that matched their route's zero-queueing floor. The
+//! overlay part of that floor is the overlay's own zero-load latency
+//! (`MeshNoc::uncontended_latency`), so the hop-cost rule lives only in
+//! the mesh module.
 //!
 //! Fault plans target the overlay: `link:L` clauses index the overlay
 //! mesh's directed links (the cluster-local wires are short, wide and
@@ -37,7 +41,6 @@
 use crate::bus::BusNoc;
 use crate::mesh::MeshNoc;
 use crate::message::{Delivery, Message};
-use crate::smart::SmartNoc;
 use crate::{Interconnect, NocStats};
 use nocstar_faults::{
     DiagSnapshot, FaultPlan, FaultStats, PendingMessage, RecoveryPolicy, RecoveryStats,
@@ -250,50 +253,6 @@ impl Intra {
     }
 }
 
-/// The overlay fabric between cluster gateways.
-#[derive(Debug)]
-enum Inter {
-    Mesh(MeshNoc),
-    Smart(SmartNoc),
-}
-
-impl Inter {
-    fn as_dyn(&mut self) -> &mut dyn Interconnect {
-        match self {
-            Inter::Mesh(n) => n,
-            Inter::Smart(n) => n,
-        }
-    }
-
-    fn next_activity(&self) -> Option<Cycle> {
-        match self {
-            Inter::Mesh(n) => n.next_activity(),
-            Inter::Smart(n) => n.next_activity(),
-        }
-    }
-
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        match self {
-            Inter::Mesh(n) => n.fault_stats(),
-            Inter::Smart(n) => n.fault_stats(),
-        }
-    }
-
-    fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        match self {
-            Inter::Mesh(n) => n.recovery_stats(),
-            Inter::Smart(n) => n.recovery_stats(),
-        }
-    }
-
-    fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        match self {
-            Inter::Mesh(n) => n.diagnostics(cycle),
-            Inter::Smart(n) => n.diagnostics(cycle),
-        }
-    }
-}
-
 /// Which leg of its route a message is riding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
@@ -323,14 +282,13 @@ struct Route {
 #[derive(Debug)]
 pub struct HierNoc {
     map: ClusterMap,
-    overlay_shape: MeshShape,
-    inter_kind: InterKind,
     /// Index-addressed per-cluster fabrics.
     intra: Vec<Intra>,
     /// `due[k]` caches `intra[k].next_activity()`, refreshed whenever
     /// cluster `k` is submitted to or advanced.
     due: Vec<Option<Cycle>>,
-    inter: Inter,
+    /// The overlay between cluster gateways, addressed by cluster id.
+    inter: MeshNoc,
     routes: BTreeMap<u64, Route>,
     stats: NocStats,
     faults: FaultPlan,
@@ -357,13 +315,11 @@ impl HierNoc {
             })
             .collect();
         let inter = match inter {
-            InterKind::Mesh => Inter::Mesh(MeshNoc::contended(overlay_shape)),
-            InterKind::Smart(hpc) => Inter::Smart(SmartNoc::new(overlay_shape, hpc)),
+            InterKind::Mesh => MeshNoc::contended(overlay_shape),
+            InterKind::Smart(hpc) => MeshNoc::smart(overlay_shape, hpc),
         };
         Self {
             map,
-            overlay_shape,
-            inter_kind: inter_kind_of(&inter),
             due: vec![None; intra.len()],
             intra,
             inter,
@@ -382,7 +338,7 @@ impl HierNoc {
 
     /// The overlay grid (one tile per cluster).
     pub fn overlay_shape(&self) -> MeshShape {
-        self.overlay_shape
+        self.inter.mesh()
     }
 
     /// The gateway tile serving cluster `k` at `cycle`. Statically this
@@ -434,15 +390,12 @@ impl HierNoc {
                 Cycles::ONE
             };
         }
-        let hops = self.overlay_shape.hops(CoreId::new(cs), CoreId::new(cd)) as u64;
-        let overlay = match self.inter_kind {
-            InterKind::Mesh => crate::mesh::CYCLES_PER_HOP * hops,
-            // SA-G setup, then ceil(hops / HPCmax) bypass cycles.
-            InterKind::Smart(hpc) => 1 + hops.div_ceil(hpc as u64),
-        };
+        let overlay = self
+            .inter
+            .uncontended_latency(CoreId::new(cs), CoreId::new(cd));
         let leg1 = u64::from(src != self.map.gateway(cs));
         let leg3 = u64::from(dst != self.map.gateway(cd));
-        Cycles::new(leg1 + overlay + leg3)
+        Cycles::new(leg1 + leg3) + overlay
     }
 
     /// Submits one leg to cluster `k`'s fabric and refreshes its cached
@@ -490,7 +443,7 @@ impl HierNoc {
                     },
                 );
                 self.stats.grants += 1;
-                self.inter.as_dyn().submit(
+                self.inter.submit(
                     d.at,
                     Message::new(
                         route.msg.id,
@@ -521,13 +474,6 @@ impl HierNoc {
                 true
             }
         }
-    }
-}
-
-fn inter_kind_of(inter: &Inter) -> InterKind {
-    match inter {
-        Inter::Mesh(_) => InterKind::Mesh,
-        Inter::Smart(n) => InterKind::Smart(n.hpc_max()),
     }
 }
 
@@ -581,7 +527,7 @@ impl Interconnect for HierNoc {
                     *due = f.next_activity();
                 }
             }
-            legs.extend(self.inter.as_dyn().advance(cycle));
+            legs.extend(self.inter.advance(cycle));
             let mut forwarded = false;
             for d in legs {
                 forwarded |= self.step_route(d, &mut out);
@@ -613,7 +559,7 @@ impl Interconnect for HierNoc {
         for f in &mut self.intra {
             f.as_dyn().reset_stats();
         }
-        self.inter.as_dyn().reset_stats();
+        self.inter.reset_stats();
     }
 
     fn install_faults(&mut self, plan: FaultPlan) {
@@ -621,7 +567,7 @@ impl Interconnect for HierNoc {
         // reliable (cluster outages are modelled as slice-offline windows
         // by the simulator, not the network).
         self.faults = plan.clone();
-        self.inter.as_dyn().install_faults(plan);
+        self.inter.install_faults(plan);
     }
 
     fn fault_stats(&self) -> Option<&FaultStats> {
@@ -632,7 +578,7 @@ impl Interconnect for HierNoc {
         // Failover is handled here; re-routing and escalation act on the
         // overlay's links, so the policy is forwarded down as well.
         self.recovery = policy;
-        self.inter.as_dyn().install_recovery(policy);
+        self.inter.install_recovery(policy);
     }
 
     fn recovery_stats(&self) -> Option<&RecoveryStats> {

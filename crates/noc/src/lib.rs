@@ -6,11 +6,13 @@
 //! * [`message`] — single-flit TLB request/response/invalidation messages.
 //! * [`topology`] — directed mesh links and XY path-to-link mapping.
 //! * [`bus`] — a shared-bus baseline (latency-friendly, bandwidth-starved).
-//! * [`mesh`] — a traditional multi-hop mesh (1-cycle router + 1-cycle
-//!   link per hop), with per-link contention or the paper's generous
-//!   contention-free variant used for the `distributed` baseline.
-//! * [`smart`] — the SMART NoC \[48\]: dynamic multi-hop bypass up to
-//!   `HPCmax` hops per cycle, falling back to latching under contention.
+//! * [`mesh`] — the multi-hop meshes: the traditional mesh (1-cycle
+//!   router + 1-cycle link per hop), with per-link contention or the
+//!   paper's generous contention-free variant used for the `distributed`
+//!   baseline, and the SMART NoC \[48\] (dynamic multi-hop bypass up to
+//!   `HPCmax` hops per cycle, latching under contention). The contended
+//!   mesh and SMART share one flit engine; only the per-cycle link-claim
+//!   rule differs.
 //! * [`arbiter`] — NOCSTAR's per-link arbiters: static priority, rotated
 //!   round-robin every 1000 cycles to prevent starvation (§III-B2).
 //! * [`hier`] — a two-level hierarchical fabric for 1000+ tiles: per-cluster
@@ -56,7 +58,6 @@ pub mod hier;
 pub mod latency;
 pub mod mesh;
 pub mod message;
-pub mod smart;
 pub mod topology;
 pub mod traffic;
 
@@ -65,7 +66,6 @@ pub use circuit::CircuitFabric;
 pub use hier::{HierNoc, InterKind, IntraKind, XbarNoc};
 pub use mesh::MeshNoc;
 pub use message::{Delivery, Message, MsgKind};
-pub use smart::SmartNoc;
 
 use nocstar_faults::{
     DiagSnapshot, FaultPlan, FaultStats, RecoveryPolicy, RecoveryStats, SimError,

@@ -79,6 +79,16 @@ impl fmt::Display for Message {
 ///     nocstar_noc::Delivery { at: d.at, ..d }
 /// }
 /// ```
+///
+/// The same paths and field compile when the field is read instead, so
+/// the example above can only fail on its struct literal:
+///
+/// ```
+/// fn restamp(d: nocstar_noc::Delivery) -> nocstar_noc::Delivery {
+///     let _at: nocstar_types::Cycle = d.at;
+///     d
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Delivery {

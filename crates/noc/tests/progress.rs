@@ -14,7 +14,7 @@
 use nocstar_noc::circuit::{AcquireMode, CircuitFabric};
 use nocstar_noc::hier::{HierNoc, InterKind, IntraKind};
 use nocstar_noc::message::{Message, MsgKind};
-use nocstar_noc::{drain_until_idle, BusNoc, Interconnect, MeshNoc, SmartNoc};
+use nocstar_noc::{drain_until_idle, BusNoc, Interconnect, MeshNoc};
 use nocstar_types::{CoreId, Cycle, MeshShape};
 
 /// Far more iterations than any healthy fabric needs for a handful of
@@ -71,7 +71,7 @@ fn contended_mesh_makes_progress_with_an_occupied_link() {
 
 #[test]
 fn smart_makes_progress_with_an_occupied_link() {
-    let mut noc = SmartNoc::new(MeshShape::square_for(16), 8);
+    let mut noc = MeshNoc::smart(MeshShape::square_for(16), 8);
     assert_forward_progress(&mut noc, 8, "smart");
 }
 

@@ -11,7 +11,6 @@
 
 use nocstar::noc::circuit::{AcquireMode, CircuitFabric};
 use nocstar::noc::mesh::MeshNoc;
-use nocstar::noc::smart::SmartNoc;
 use nocstar::noc::traffic::run_uniform_random;
 use nocstar::prelude::*;
 
@@ -32,7 +31,7 @@ fn main() {
     for rate in [0.01, 0.05, 0.1, 0.2, 0.3] {
         let mut fabric = CircuitFabric::new(mesh, 16, AcquireMode::OneWay);
         let nocstar = run_uniform_random(&mut fabric, mesh, rate, cycles, 7);
-        let mut smart = SmartNoc::new(mesh, 8);
+        let mut smart = MeshNoc::smart(mesh, 8);
         let smart_r = run_uniform_random(&mut smart, mesh, rate, cycles, 7);
         let mut multihop = MeshNoc::contended(mesh);
         let mesh_r = run_uniform_random(&mut multihop, mesh, rate, cycles, 7);

@@ -17,7 +17,9 @@
 #                     recovery-chaos smoke and the closed-loop
 #                     recovery-latency study, the 512/1024-core hier-vs-mesh
 #                     scale-up claim and smoke, fault-sweep smoke, the
-#                     full golden-report determinism sweep, the
+#                     fig15/fig11c quick runs (the SMART and contended
+#                     mesh consumers of the mesh flit engine, exit code
+#                     only), the full golden-report determinism sweep, the
 #                     circuit and 1024-core hier host-benchmark smokes
 #                     (exit code only), and the
 #                     end-to-end trace-replay equivalence check
@@ -96,6 +98,18 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: fault-sweep smoke =="
   cargo run --release -q -p nocstar-bench --bin faultsweep -- --quick
+
+  echo "== nightly: mesh flight engine end to end (fig15, fig11c) =="
+  # Both consumers of the shared mesh/SMART flit engine run to completion:
+  # fig15 reaches monolithic banks over SMART, fig11c loads the contended
+  # mesh with synthetic traffic. Gates on the exit code only.
+  ENGINE_OUT="$(mktemp -d)"
+  for fig in fig15 fig11c; do
+    start=$SECONDS
+    NOCSTAR_OUT="$ENGINE_OUT" cargo run --release -q -p nocstar-bench --bin "$fig" -- --quick >/dev/null
+    echo "   $fig --quick: $((SECONDS - start)) s"
+  done
+  rm -rf "$ENGINE_OUT"
 
   echo "== nightly: golden-report determinism sweep =="
   cargo test -q --test golden_reports
